@@ -31,7 +31,6 @@ from .ted import (
     ted_star_distance_only,
 )
 from .ned import (
-    NodeRef,
     TreeDistanceCache,
     hausdorff_graph_distance,
     ned,
@@ -40,7 +39,6 @@ from .ned import (
 )
 from .vptree import VpIndex, build_index
 from .oracle import (
-    ahu_canonical,
     enumerate_trees,
     exact_ged_on_trees,
     exact_ted_star,
@@ -69,7 +67,6 @@ __all__ = [
     "InvariantError",
     "LevelTree",
     "NedistError",
-    "NodeRef",
     "TreeDistanceCache",
     "TreeLiteralError",
     "TreeNode",
@@ -78,7 +75,6 @@ __all__ = [
     "VpIndex",
     "W_PLUS",
     "WeightScheme",
-    "ahu_canonical",
     "anonymize",
     "build_graph",
     "build_index",

@@ -172,6 +172,25 @@ def _lex_min_refine(matrix, n, f, u, v):
     return f
 
 
+def _solve(matrix, n: int):
+    """The one solver path: Hungarian below _SMALL_N or on exact Fraction
+    input, scipy with recovered duals above it, then the lex-min refinement.
+    Returns (cost, assignment, u, v); the cost is summed from the matrix
+    entries, so it keeps their number type."""
+    exact = not isinstance(matrix, np.ndarray) and any(
+        isinstance(x, Fraction) for row in matrix for x in row)
+    if n <= _SMALL_N or exact:
+        listed = matrix.tolist() if isinstance(matrix, np.ndarray) else [list(r) for r in matrix]
+        f, u, v = _hungarian(listed, n)
+    else:
+        W = np.asarray(matrix)
+        f, u, v = _scipy_with_duals(W)
+        listed = W.tolist()
+    f = _lex_min_refine(listed, n, f, u, v)
+    cost = sum(listed[i][f[i]] for i in range(n))
+    return cost, f, u, v
+
+
 def min_cost_perfect_matching(matrix):
     """Minimum-cost perfect matching of a square non-negative matrix.
 
@@ -185,50 +204,17 @@ def min_cost_perfect_matching(matrix):
             raise UsageError("cost matrix must be square and non-empty")
         if (matrix < 0).any():
             raise UsageError("cost matrix entries must be non-negative")
-        rows = matrix
     else:
         n = _validate(matrix)
-        rows = matrix
-
-    exact = not isinstance(rows, np.ndarray) and any(
-        isinstance(x, Fraction) for row in rows for x in row)
-    if n <= _SMALL_N or exact:
-        listed = rows.tolist() if isinstance(rows, np.ndarray) else [list(r) for r in rows]
-        f, u, v = _hungarian(listed, n)
-        f = _lex_min_refine(listed, n, f, u, v)
-        cost = sum(listed[i][f[i]] for i in range(n))
-        return cost, f
-
-    W = np.asarray(rows)
-    f, u, v = _scipy_with_duals(W)
-    listed = W.tolist()
-    f = _lex_min_refine(listed, n, f, u, v)
-    cost = sum(listed[i][f[i]] for i in range(n))
+    cost, f, _, _ = _solve(matrix, n)
     return cost, f
 
 
 def matching_with_duals(W: np.ndarray):
-    """Fast internal path for the distance computation: integer numpy matrix in,
+    """Fast internal path for the distance computation: numpy matrix in,
     (cost, assignment, u, v) out with the same lexicographic tie-break.
 
     The duals satisfy u[i] + v[j] <= W[i][j] with equality on every edge any
     optimal assignment uses, which lets callers enumerate cost-equal optima.
     """
-    n = W.shape[0]
-    if n <= _SMALL_N:
-        listed = W.tolist()
-        f, u, v = _hungarian(listed, n)
-        f = _lex_min_refine(listed, n, f, u, v)
-        cost = sum(listed[i][f[i]] for i in range(n))
-        return cost, f, u, v
-    f, u, v = _scipy_with_duals(W)
-    listed = W.tolist()
-    f = _lex_min_refine(listed, n, f, u, v)
-    cost = int(W[np.arange(n), f].sum())
-    return cost, f, u, v
-
-
-def matching_with_assignment(W: np.ndarray):
-    """As matching_with_duals but returning only (cost, assignment)."""
-    cost, f, _, _ = matching_with_duals(W)
-    return cost, f
+    return _solve(W, W.shape[0])

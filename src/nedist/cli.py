@@ -23,9 +23,9 @@ from .experiments import (
 )
 from .graph import load_graph
 from .assignment import min_cost_perfect_matching
-from .ned import TreeDistanceCache, hausdorff_graph_distance, tree_for
+from .ned import (TreeDistanceCache, hausdorff_graph_distance, signature,
+                  signature_distance, tree_for)
 from .oracle import (
-    ahu_canonical,
     enumerate_trees,
     exact_ged_on_trees,
     exact_ted_star,
@@ -157,7 +157,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("graphdist", parents=[common], help="graph-to-graph distance")
     p.add_argument("graph1")
     p.add_argument("graph2")
-    p.add_argument("--hausdorff", action="store_true", default=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--weights", default="unit")
     p.add_argument("--directed", action="store_true")
@@ -234,26 +233,26 @@ def _cmd_ned(args, emit, fmt):
     w = _weights_arg(args.weights)
     g1 = load_graph(args.graph1, directed=args.directed)
     g2 = load_graph(args.graph2, directed=args.directed)
-    if args.directed:
-        din, bin_ = ted_star(tree_for(g1, args.node1, args.k, "in"),
-                             tree_for(g2, args.node2, args.k, "in"), w)
-        dout, bout = ted_star(tree_for(g1, args.node1, args.k, "out"),
-                              tree_for(g2, args.node2, args.k, "out"), w)
+    breakdowns = []
+
+    def tree_distance(a, b):
+        d, br = ted_star(a, b, w)
+        breakdowns.append(br)
+        return d
+
+    total = signature_distance(args.directed, tree_distance)(
+        signature(g1, args.node1, args.k), signature(g2, args.node2, args.k))
+    if not args.breakdown:
+        emit([_number(total)])
+    elif args.directed:
         lines = []
-        if args.breakdown:
-            for tag, br in (("in", bin_), ("out", bout)):
-                rows, cols = _breakdown_rows(br)
-                lines += [f"[{tag} tree]"] + _rows_to_lines(rows, cols, fmt)
-        lines.append(_number(din + dout))
-        emit(lines)
-    else:
-        total, br = ted_star(tree_for(g1, args.node1, args.k),
-                             tree_for(g2, args.node2, args.k), w)
-        if args.breakdown:
+        for tag, br in zip(("in", "out"), breakdowns):
             rows, cols = _breakdown_rows(br)
-            emit(_rows_to_lines(rows, cols, fmt) + [f"total {_number(total)}"])
-        else:
-            emit([_number(total)])
+            lines += [f"[{tag} tree]"] + _rows_to_lines(rows, cols, fmt)
+        emit(lines + [_number(total)])
+    else:
+        rows, cols = _breakdown_rows(breakdowns[0])
+        emit(_rows_to_lines(rows, cols, fmt) + [f"total {_number(total)}"])
 
 
 def _cmd_knn(args, emit, fmt):
@@ -262,12 +261,7 @@ def _cmd_knn(args, emit, fmt):
     gq = load_graph(args.query_graph, directed=args.directed)
     cache = TreeDistanceCache(w)
     index = build_index(g, args.k, weights=w, seed=args.index_seed, cache=cache)
-    if args.directed:
-        query = (tree_for(gq, args.query_node, args.k, "in"),
-                 tree_for(gq, args.query_node, args.k, "out"))
-    else:
-        query = tree_for(gq, args.query_node, args.k)
-    results, evals = index.knn(query, args.l)
+    results, evals = index.knn(signature(gq, args.query_node, args.k), args.l)
     rows = [{"node": lab, "distance": _number(d)} for lab, d in results]
     lines = _rows_to_lines(rows, ["node", "distance"], fmt)
     if args.count_evals:
@@ -293,8 +287,8 @@ def _cmd_oracle(args, emit, fmt):
         for j in range(i, len(trees)):
             a, b = trees[i], trees[j]
             rows.append({
-                "tree1": ahu_canonical(a),
-                "tree2": ahu_canonical(b),
+                "tree1": a.canonical_literal(),
+                "tree2": b.canonical_literal(),
                 "ted_star": ted_star(a, b)[0],
                 "exact_ted_star": exact_ted_star(a, b),
                 "exact_ted": exact_unordered_ted(a, b),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import UsageError
 from .graph import Graph, build_graph
-from .ned import TreeDistanceCache, tree_for
+from .ned import TreeDistanceCache, signature, signature_distance, tree_for
 from .oracle import enumerate_trees, exact_unordered_ted
 from .ted import UNIT, WeightScheme, ted_star_distance_only
 from .tree import LevelTree, TreeNode
@@ -178,14 +178,8 @@ def _node_distance_fn(train: Graph, anon: Graph, k: int,
                       weights: WeightScheme, cache: TreeDistanceCache | None):
     if cache is None:
         cache = TreeDistanceCache(weights)
-    if train.directed:
-        def dist(u, v):
-            return (cache.distance(tree_for(anon, u, k, "in"), tree_for(train, v, k, "in"))
-                    + cache.distance(tree_for(anon, u, k, "out"), tree_for(train, v, k, "out")))
-    else:
-        def dist(u, v):
-            return cache.distance(tree_for(anon, u, k), tree_for(train, v, k))
-    return dist
+    distance = signature_distance(train.directed, cache.distance)
+    return lambda u, v: distance(signature(anon, u, k), signature(train, v, k))
 
 
 def _degree_signature(g: Graph, v: int):

@@ -9,22 +9,13 @@ aggregates node distances.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import UsageError
 from .graph import Graph
 from .ted import UNIT, WeightScheme, ted_star_distance_only
-from .tree import LevelTree, extract_k_adjacent_tree, parse_tree_literal
-
-
-@dataclass(frozen=True)
-class NodeRef:
-    graph: Graph
-    node: object   # external label or internal index
-
-    def __iter__(self):
-        yield self.graph
-        yield self.node
+from .tree import LevelTree, canonical_form, extract_k_adjacent_tree
+# unused here, but benchmarks/tracer.py hooks this name under nedist.ned
+from .tree import parse_tree_literal  # noqa: F401
 
 
 def tree_for(g: Graph, node, k: int, mode: str = "undirected") -> LevelTree:
@@ -39,75 +30,89 @@ def tree_for(g: Graph, node, k: int, mode: str = "undirected") -> LevelTree:
     return t
 
 
+def signature(g: Graph, node, k: int):
+    """A node's signature at depth k: its neighborhood tree in an undirected
+    graph, its (incoming tree, outgoing tree) pair in a directed one."""
+    if g.directed:
+        return tree_for(g, node, k, "in"), tree_for(g, node, k, "out")
+    return tree_for(g, node, k)
+
+
+def signature_distance(directed: bool, tree_distance):
+    """Distance between two node signatures, given a distance between trees:
+    for directed graphs, the in-tree distance plus the out-tree distance."""
+    if not directed:
+        return tree_distance
+
+    def distance(a, b):
+        return tree_distance(a[0], b[0]) + tree_distance(a[1], b[1])
+
+    return distance
+
+
 class TreeDistanceCache:
     """Distance memo keyed by canonical tree forms.
 
-    Isomorphic trees are at distance 0 from each other, so the canonical
-    literal fully determines the distance; batch workloads hit the same
-    shapes constantly.
+    Isomorphic trees are at distance 0 from each other, and the distance
+    depends only on the canonical forms, so the canonical literal fully
+    determines it; batch workloads hit the same shapes constantly.  The
+    cache keeps one tree in canonical level order per distinct literal.
     """
 
     def __init__(self, weights: WeightScheme = UNIT):
         self.weights = weights
         self._memo: dict[tuple[str, str], object] = {}
-        self._parsed: dict[str, LevelTree] = {}
+        self._canonical: dict[str, LevelTree] = {}
         self.evaluations = 0   # logical distance evaluations requested
         self.computations = 0  # distances actually computed
 
-    def _tree(self, literal: str) -> LevelTree:
-        t = self._parsed.get(literal)
-        if t is None:
-            t = parse_tree_literal(literal)
-            self._parsed[literal] = t
-        return t
+    def _tree(self, literal: str, t: LevelTree) -> LevelTree:
+        c = self._canonical.get(literal)
+        if c is None:
+            c = self._canonical[literal] = canonical_form(t)[1]
+        return c
 
     def distance(self, t1: LevelTree, t2: LevelTree):
         self.evaluations += 1
         a = t1.canonical_literal()
         b = t2.canonical_literal()
-        if a > b:
-            a, b = b, a
-        key = (a, b)
+        key = (a, b) if a <= b else (b, a)
         d = self._memo.get(key)
         if d is None:
             self.computations += 1
-            d = ted_star_distance_only(self._tree(a), self._tree(b), self.weights)
+            d = ted_star_distance_only(self._tree(a, t1), self._tree(b, t2), self.weights)
             self._memo[key] = d
         return d
+
+
+def _ned(gu: Graph, u, gv: Graph, v, k: int, weights: WeightScheme):
+    distance = signature_distance(
+        gu.directed, lambda a, b: ted_star_distance_only(a, b, weights))
+    return distance(signature(gu, u, k), signature(gv, v, k))
 
 
 def ned(gu: Graph, u, gv: Graph, v, k: int, weights: WeightScheme = UNIT):
     """Distance between nodes of two undirected graphs at neighborhood depth k."""
     if gu.directed or gv.directed:
         raise UsageError("ned requires undirected graphs; use ned_directed")
-    return ted_star_distance_only(tree_for(gu, u, k), tree_for(gv, v, k), weights)
+    return _ned(gu, u, gv, v, k, weights)
 
 
 def ned_directed(gu: Graph, u, gv: Graph, v, k: int, weights: WeightScheme = UNIT):
     """Directed variant: incoming-tree distance plus outgoing-tree distance."""
     if not (gu.directed and gv.directed):
         raise UsageError("ned_directed requires directed graphs; use ned")
-    d_in = ted_star_distance_only(tree_for(gu, u, k, "in"), tree_for(gv, v, k, "in"), weights)
-    d_out = ted_star_distance_only(tree_for(gu, u, k, "out"), tree_for(gv, v, k, "out"), weights)
-    return d_in + d_out
+    return _ned(gu, u, gv, v, k, weights)
 
 
 def _signature_groups(g: Graph, nodes, k: int):
-    """Distinct node signatures among ``nodes`` (one representative each).
-
-    A signature is the neighborhood tree for undirected graphs, or the
-    (incoming tree, outgoing tree) pair for directed ones.
-    """
+    """Distinct node signatures among ``nodes`` (one representative each)."""
     groups: dict = {}
-    if g.directed:
-        for v in nodes:
-            ti = tree_for(g, v, k, "in")
-            to = tree_for(g, v, k, "out")
-            groups.setdefault((ti.canonical_literal(), to.canonical_literal()), (ti, to))
-    else:
-        for v in nodes:
-            t = tree_for(g, v, k)
-            groups.setdefault(t.canonical_literal(), t)
+    for v in nodes:
+        s = signature(g, v, k)
+        key = (tuple(t.canonical_literal() for t in s) if g.directed
+               else s.canonical_literal())
+        groups.setdefault(key, s)
     return list(groups.values())
 
 
@@ -140,11 +145,7 @@ def hausdorff_graph_distance(a: Graph, b: Graph, k: int,
     elif cache.weights is not weights:
         raise UsageError("cache was built for a different weight scheme")
 
-    if a.directed:
-        def dist(sa, sb):
-            return cache.distance(sa[0], sb[0]) + cache.distance(sa[1], sb[1])
-    else:
-        dist = cache.distance
+    dist = signature_distance(a.directed, cache.distance)
     rows = [[dist(sa, sb) for sb in sig_b] for sa in sig_a]
     h_ab = max(min(row) for row in rows)
     h_ba = max(min(rows[i][j] for i in range(len(sig_a)))

@@ -12,12 +12,7 @@ import heapq
 from functools import lru_cache
 
 from .errors import UsageError
-from .tree import LevelTree, parse_tree_literal, to_tree_literal, _literal_key
-
-
-def ahu_canonical(t: LevelTree) -> str:
-    """Canonical literal; equal strings iff the rooted trees are isomorphic."""
-    return to_tree_literal(t)
+from .tree import LevelTree, TreeNode, parse_tree_literal, to_tree_literal, _literal_key
 
 
 # ---------------------------------------------------------------------------
@@ -75,16 +70,14 @@ def _to_parents(t: LevelTree) -> list[tuple[int | None, int]]:
 
 
 def _parents_to_literal(nodes) -> str:
-    children: list[list[int]] = [[] for _ in nodes]
-    for i, (p, _) in enumerate(nodes):
-        if p is not None:
-            children[p].append(i)
-
-    def canon(i: int) -> str:
-        return "(" + "".join(sorted((canon(c) for c in children[i]),
-                                    key=_literal_key)) + ")"
-
-    return canon(0)
+    """Canonical literal of a flat node list, in any order."""
+    levels: list[list[TreeNode]] = [[] for _ in range(max(d for _, d in nodes) + 1)]
+    within = [0] * len(nodes)          # index of each node inside its level
+    for i in sorted(range(len(nodes)), key=lambda i: nodes[i][1]):
+        p, d = nodes[i]
+        within[i] = len(levels[d])
+        levels[d].append(TreeNode(None if p is None else within[p]))
+    return to_tree_literal(LevelTree(levels))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -149,8 +142,8 @@ def exact_ted_star(t1: LevelTree, t2: LevelTree, budget=12, weights=None):
     """
     if t1.size > 8 or t2.size > 8:
         raise UsageError("exact edit search is capped at 8 nodes")
-    start = ahu_canonical(t1)
-    target = ahu_canonical(t2)
+    start = t1.canonical_literal()
+    target = t2.canonical_literal()
     if start == target:
         return 0
     depth_cap = max(t1.depth, t2.depth)

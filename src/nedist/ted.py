@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import InvariantError, UsageError
 from .assignment import matching_with_duals
-from .tree import LevelTree
+from .tree import LevelTree, canonical_form
 
 
 class WeightScheme:
@@ -94,10 +94,6 @@ class WeightScheme:
             leaf[int(level)] = Fraction(w1)
             move[int(level)] = Fraction(w2)
         return cls(leaf=leaf, move=move, name=name)
-
-    def cache_token(self):
-        """Hashable identity for memoization; presets share by name."""
-        return self.name if self.name in ("unit", "wplus") else id(self)
 
 
 UNIT = WeightScheme(name="unit")
@@ -322,8 +318,11 @@ _OP_BITS = 32
 
 
 def _run(t1: LevelTree, t2: LevelTree, weights: WeightScheme, want_breakdown: bool):
-    # the distance is symmetric; fixing an internal order makes that exact
-    swapped = t1.canonical_literal() > t2.canonical_literal()
+    # the level search reads node order (tie-breaks, capped tie search), so it
+    # runs on canonical order; fixing an internal order makes symmetry exact
+    lit1, t1 = canonical_form(t1)
+    lit2, t2 = canonical_form(t2)
+    swapped = lit1 > lit2
     if swapped:
         t1, t2 = t2, t1
     k = max(t1.depth, t2.depth)

@@ -7,17 +7,15 @@ stored order is deterministic so repeated extraction is byte-identical.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import TreeLiteralError, UsageError
 from .graph import Graph
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     parent: int | None            # index into the previous level, None for the root
-    padded: bool = False
     node_id: str | None = None    # original graph label when extracted, else None
 
 
@@ -25,6 +23,8 @@ class TreeNode:
 class LevelTree:
     levels: list[list[TreeNode]]
     _canon: str | None = field(default=None, repr=False, compare=False)
+    # set once the levels are known to be in canonical level order
+    _ordered: bool = field(default=False, repr=False, compare=False)
 
     @property
     def depth(self) -> int:
@@ -49,8 +49,6 @@ class LevelTree:
         for li in range(1, len(self.levels)):
             prev = len(self.levels[li - 1])
             for node in self.levels[li]:
-                if node.padded:
-                    continue
                 if node.parent is None or not 0 <= node.parent < prev:
                     raise UsageError(f"bad parent reference at level {li + 1}")
 
@@ -187,14 +185,47 @@ def parse_tree_literal(s: str) -> LevelTree:
     return LevelTree(levels)
 
 
+def _ahu(t: LevelTree) -> tuple[str, list[list[list[int]]]]:
+    """AHU canonical form, one level at a time from the bottom up.
+
+    Returns the root's literal and, per level, each node's children in
+    canonical order: ascending by (literal length, literal).
+    """
+    below: list[str] = []
+    ordered: list[list[list[int]]] = [[] for _ in range(t.depth)]
+    for i in range(t.depth - 1, -1, -1):
+        key = [_literal_key(s) for s in below]
+        kids_by_node = t.children_lists(i)
+        for kids in kids_by_node:
+            kids.sort(key=key.__getitem__)
+        ordered[i] = kids_by_node
+        below = ["(" + "".join([below[c] for c in kids]) + ")" for kids in kids_by_node]
+    return below[0], ordered
+
+
 def to_tree_literal(t: LevelTree) -> str:
     """Serialize in AHU-canonical order: isomorphic trees serialize identically."""
-    depth = t.depth
-    children = [t.children_lists(i) for i in range(depth)]
+    return _ahu(t)[0]
 
-    def canon(level: int, idx: int) -> str:
-        parts = sorted((canon(level + 1, c) for c in children[level][idx]),
-                       key=_literal_key)
-        return "(" + "".join(parts) + ")"
 
-    return canon(0, 0)
+def canonical_form(t: LevelTree) -> tuple[str, LevelTree]:
+    """The AHU literal of ``t`` and ``t`` in canonical level order, the layout
+    ``parse_tree_literal`` gives that literal; isomorphic trees get equal
+    literals and equal level orders.  Node ids move with their nodes, and a
+    tree already in canonical order is returned as is."""
+    if t._ordered:
+        return t._canon, t
+    literal, ordered = _ahu(t)
+    t._canon = literal
+    orders = [[0]]   # per level, the old node indices in canonical order
+    for kids in ordered[:-1]:
+        orders.append([c for q in orders[-1] for c in kids[q]])
+    if all(j == c for order in orders for j, c in enumerate(order)):
+        t._ordered = True
+        return literal, t
+    levels = [[TreeNode(None, t.levels[0][0].node_id)]]
+    for i in range(1, t.depth):
+        src = t.levels[i]
+        levels.append([TreeNode(p, src[c].node_id)
+                       for p, q in enumerate(orders[i - 1]) for c in ordered[i - 1][q]])
+    return literal, LevelTree(levels, _canon=literal, _ordered=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import UsageError
 from .graph import Graph
-from .ned import TreeDistanceCache, tree_for
+from .ned import TreeDistanceCache, signature, signature_distance
 from .ted import UNIT, WeightScheme
 
 LEAF_BUCKET = 16
@@ -94,26 +94,22 @@ class VpIndex:
             elif entry < (-heap[0][0], -heap[0][1]):
                 heapq.heapreplace(heap, (-d, -idx))
 
-        def tau():
-            return -heap[0][0] if len(heap) == l else None
-
-        def visit(node):
+        # near child first; a child's bound is checked when it is popped, the
+        # far child's after the near subtree (a stack leaves no reference cycle)
+        stack = [(self.root, None)]
+        while stack:
+            node, bound = stack.pop()
+            if bound is not None and len(heap) == l and bound > -heap[0][0]:
+                continue
             if isinstance(node, _Leaf):
                 for idx in node.entries:
                     offer(idx, self._d(query, idx))
-                return
+                continue
             d = self._d(query, node.vantage)
             offer(node.vantage, d)
-            near_first = d <= node.mu
-            for child, bound in (((node.inner, d - node.mu) if near_first
-                                  else (node.outer, node.mu - d)),
-                                 ((node.outer, node.mu - d) if near_first
-                                  else (node.inner, d - node.mu))):
-                t = tau()
-                if t is None or bound <= t:
-                    visit(child)
+            inner, outer = (node.inner, d - node.mu), (node.outer, node.mu - d)
+            stack += (outer, inner) if d <= node.mu else (inner, outer)
 
-        visit(self.root)
         results = sorted(((-nd, -ni) for nd, ni in heap))
         return ([(self.labels[i], d) for d, i in results],
                 self.eval_count - start)
@@ -125,22 +121,23 @@ class VpIndex:
         start = self.eval_count
         out = []
 
-        def visit(node):
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
             if isinstance(node, _Leaf):
                 for idx in node.entries:
                     d = self._d(query, idx)
                     if d <= r:
                         out.append((d, idx))
-                return
+                continue
             d = self._d(query, node.vantage)
             if d <= r:
                 out.append((d, node.vantage))
-            if d - node.mu <= r:
-                visit(node.inner)
             if node.mu - d <= r:
-                visit(node.outer)
+                stack.append(node.outer)
+            if d - node.mu <= r:
+                stack.append(node.inner)
 
-        visit(self.root)
         out.sort()
         return ([(self.labels[i], d) for d, i in out],
                 self.eval_count - start)
@@ -170,13 +167,6 @@ def build_index(g: Graph, k: int, weights: WeightScheme = UNIT, seed: int = 0,
         raise UsageError("cannot index an empty graph")
     if cache is None:
         cache = TreeDistanceCache(weights)
-    if g.directed:
-        items = [(tree_for(g, v, k, "in"), tree_for(g, v, k, "out"))
-                 for v in range(g.n)]
-
-        def distance(a, b):
-            return cache.distance(a[0], b[0]) + cache.distance(a[1], b[1])
-    else:
-        items = [tree_for(g, v, k) for v in range(g.n)]
-        distance = cache.distance
-    return VpIndex(items, distance, seed=seed, labels=g.labels)
+    return VpIndex([signature(g, v, k) for v in range(g.n)],
+                   signature_distance(g.directed, cache.distance),
+                   seed=seed, labels=g.labels)

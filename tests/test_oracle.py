@@ -5,7 +5,6 @@ import pytest
 
 from nedist.errors import UsageError
 from nedist.oracle import (
-    ahu_canonical,
     enumerate_trees,
     exact_ged_on_trees,
     exact_ted_star,
@@ -16,7 +15,7 @@ from nedist.tree import parse_tree_literal as P
 
 
 def lits(n_max, depth_max=10**9):
-    return [ahu_canonical(t) for t in enumerate_trees(n_max, depth_max)]
+    return [t.canonical_literal() for t in enumerate_trees(n_max, depth_max)]
 
 
 def test_enumeration_tiny_counts():
@@ -42,9 +41,9 @@ def test_enumeration_cap():
 
 
 def test_ahu_examples():
-    assert ahu_canonical(P("((())())")) == "(()(()))"
-    assert ahu_canonical(P("()")) == "()"
-    assert ahu_canonical(P("((()())(()))")) == ahu_canonical(P("((())(()()))"))
+    assert P("((())())").canonical_literal() == "(()(()))"
+    assert P("()").canonical_literal() == "()"
+    assert P("((()())(()))").canonical_literal() == P("((())(()()))").canonical_literal()
 
 
 def test_exact_ted_star_basics():
@@ -141,7 +140,7 @@ def test_identity_equivalence_on_corpus():
     trees = list(enumerate_trees(5))
     for i in range(len(trees)):
         for j in range(len(trees)):
-            same = ahu_canonical(trees[i]) == ahu_canonical(trees[j])
+            same = trees[i].canonical_literal() == trees[j].canonical_literal()
             zero = ted_star_distance_only(trees[i], trees[j]) == 0
             assert same == zero
 

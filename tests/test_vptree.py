@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -26,6 +27,21 @@ def test_knn_matches_linear_scan():
         for l in (1, 3, 10):
             got, _ = index.knn(q, l)
             assert got == index.linear_scan(q, l=l)
+
+
+def test_queries_leave_no_reference_cycles():
+    index, _ = make_index(300, seed=5)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for q in range(0, 100, 2):
+            index.knn(q, 5)
+            index.range_query(q, 3)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_range_matches_linear_scan():
