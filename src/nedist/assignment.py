@@ -9,6 +9,7 @@ makes downstream consumers fully deterministic.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,14 @@ _SMALL_N = 24
 
 
 def _validate(matrix):
+    """The side of a square, non-empty matrix of finite non-negative numbers
+    (NaN is not one; an infinite row can leave no finite matching)."""
+    if isinstance(matrix, np.ndarray):
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
+            raise UsageError("cost matrix must be square and non-empty")
+        if not ((matrix >= 0) & (matrix < math.inf)).all():
+            raise UsageError("cost matrix entries must be finite non-negative numbers")
+        return matrix.shape[0]
     n = len(matrix)
     if n == 0:
         raise UsageError("cost matrix must be non-empty")
@@ -28,8 +37,8 @@ def _validate(matrix):
         if len(row) != n:
             raise UsageError("cost matrix must be square")
         for x in row:
-            if x < 0:
-                raise UsageError("cost matrix entries must be non-negative")
+            if not 0 <= x < math.inf:
+                raise UsageError("cost matrix entries must be finite non-negative numbers")
     return n
 
 
@@ -198,15 +207,7 @@ def min_cost_perfect_matching(matrix):
     row i.  Among cost-equal optima the lexicographically smallest
     assignment vector is returned.
     """
-    if isinstance(matrix, np.ndarray):
-        n = matrix.shape[0]
-        if matrix.ndim != 2 or matrix.shape[1] != n or n == 0:
-            raise UsageError("cost matrix must be square and non-empty")
-        if (matrix < 0).any():
-            raise UsageError("cost matrix entries must be non-negative")
-    else:
-        n = _validate(matrix)
-    cost, f, _, _ = _solve(matrix, n)
+    cost, f, _, _ = _solve(matrix, _validate(matrix))
     return cost, f
 
 

@@ -43,28 +43,35 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _read_rows(path: str, what: str, parse_line) -> list:
+    """``parse_line(tokens, where)`` of every line of the ``what`` file at
+    ``path`` that is neither blank nor a '#' comment."""
+    rows = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    rows.append(parse_line(line.split(), f"{path}:{line_no}"))
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} file {path}: {exc}") from exc
+    except ValueError as exc:
+        raise UsageError(f"bad number in {what} file {path}: {exc}") from exc
+    return rows
+
+
+def _weight_row(tokens, where):
+    if len(tokens) != 3:
+        raise UsageError(f"{where}: weight lines are 'level w1 w2'")
+    return int(tokens[0]), Fraction(tokens[1]), Fraction(tokens[2])
+
+
 def _weights_arg(spec: str) -> WeightScheme:
     if spec == "unit":
         return UNIT
     if spec == "wplus":
         return W_PLUS
-    rows = []
-    try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                tokens = line.split()
-                if len(tokens) != 3:
-                    raise UsageError(
-                        f"{spec}:{line_no}: weight lines are 'level w1 w2'")
-                rows.append((int(tokens[0]), Fraction(tokens[1]), Fraction(tokens[2])))
-    except OSError as exc:
-        raise UsageError(f"cannot read weight file {spec}: {exc}") from exc
-    except ValueError as exc:
-        raise UsageError(f"bad number in weight file {spec}: {exc}") from exc
-    return WeightScheme.from_table(rows, name=spec)
+    return WeightScheme.from_table(_read_rows(spec, "weight", _weight_row), name=spec)
 
 
 def _number(x) -> str:
@@ -121,6 +128,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("ktree", parents=[common],
                        help="print a node's k-level neighborhood tree")
+    p.set_defaults(handler=_cmd_ktree)
     p.add_argument("--graph", required=True)
     p.add_argument("--node", required=True)
     p.add_argument("--k", type=int, required=True)
@@ -128,12 +136,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=("undirected", "out", "in"), default=None)
 
     p = sub.add_parser("dist", parents=[common], help="distance between two tree literals")
+    p.set_defaults(handler=_cmd_dist)
     p.add_argument("--tree1", required=True)
     p.add_argument("--tree2", required=True)
     p.add_argument("--weights", default="unit")
     p.add_argument("--breakdown", action="store_true")
 
     p = sub.add_parser("ned", parents=[common], help="node distance across two graphs")
+    p.set_defaults(handler=_cmd_ned)
     p.add_argument("--graph1", required=True)
     p.add_argument("--node1", required=True)
     p.add_argument("--graph2", required=True)
@@ -144,6 +154,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--breakdown", action="store_true")
 
     p = sub.add_parser("knn", parents=[common], help="nearest neighbors via the metric index")
+    p.set_defaults(handler=_cmd_knn)
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--index-seed", type=int, default=0)
@@ -155,6 +166,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--count-evals", action="store_true")
 
     p = sub.add_parser("graphdist", parents=[common], help="graph-to-graph distance")
+    p.set_defaults(handler=_cmd_graphdist)
     p.add_argument("graph1")
     p.add_argument("graph2")
     p.add_argument("--k", type=int, required=True)
@@ -164,12 +176,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("oracle", parents=[common], help="exhaustive ground-truth comparisons")
+    p.set_defaults(handler=_cmd_oracle)
     p.add_argument("action", choices=("compare",))
     p.add_argument("--all", action="store_true")
     p.add_argument("--nmax", type=int, default=6)
     p.add_argument("--depth-max", type=int, default=None)
 
     p = sub.add_parser("deanon", parents=[common], help="seeded de-anonymization experiment")
+    p.set_defaults(handler=_cmd_deanon)
     p.add_argument("--graph", required=True)
     p.add_argument("--method", choices=("naive", "sparsify", "perturb"),
                    default="naive")
@@ -185,6 +199,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--ranker", choices=("ned", "degree"), default="ned")
 
     p = sub.add_parser("study", help="batch experiment harnesses")
+    p.set_defaults(handler=_cmd_study)
     study = p.add_subparsers(dest="study", required=True)
 
     q = study.add_parser("ted-closeness", parents=[common])
@@ -205,12 +220,13 @@ def _build_parser() -> _Parser:
     q.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("match", parents=[common], help="solve a cost-matrix matching (debugging)")
+    p.set_defaults(handler=_cmd_match)
     p.add_argument("--matrix", required=True)
 
     return top
 
 
-def _cmd_ktree(args, emit):
+def _cmd_ktree(args, emit, fmt):
     g = load_graph(args.graph, directed=args.directed)
     mode = args.mode or ("out" if args.directed else "undirected")
     t = tree_for(g, args.node, args.k, mode)
@@ -269,7 +285,7 @@ def _cmd_knn(args, emit, fmt):
     emit(lines)
 
 
-def _cmd_graphdist(args, emit):
+def _cmd_graphdist(args, emit, fmt):
     w = _weights_arg(args.weights)
     g1 = load_graph(args.graph1, directed=args.directed)
     g2 = load_graph(args.graph2, directed=args.directed)
@@ -361,19 +377,9 @@ def _cmd_study(args, emit, fmt):
         emit(_rows_to_lines(rows, ["k", "queries", "mean_nn0", "mean_ties"], fmt))
 
 
-def _cmd_match(args, emit):
-    matrix = []
-    try:
-        with open(args.matrix, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                matrix.append([Fraction(tok) for tok in line.split()])
-    except OSError as exc:
-        raise UsageError(f"cannot read matrix file {args.matrix}: {exc}") from exc
-    except ValueError as exc:
-        raise UsageError(f"bad matrix entry: {exc}") from exc
+def _cmd_match(args, emit, fmt):
+    matrix = _read_rows(args.matrix, "matrix",
+                        lambda tokens, where: [Fraction(tok) for tok in tokens])
     cost, assignment = min_cost_perfect_matching(matrix)
     emit([f"cost {_number(cost)}", "assignment " + " ".join(map(str, assignment))])
 
@@ -382,26 +388,7 @@ def run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        fmt = args.format
-        emit = lambda lines: _emit(args.out, lines)
-        if args.command == "ktree":
-            _cmd_ktree(args, emit)
-        elif args.command == "dist":
-            _cmd_dist(args, emit, fmt)
-        elif args.command == "ned":
-            _cmd_ned(args, emit, fmt)
-        elif args.command == "knn":
-            _cmd_knn(args, emit, fmt)
-        elif args.command == "graphdist":
-            _cmd_graphdist(args, emit)
-        elif args.command == "oracle":
-            _cmd_oracle(args, emit, fmt)
-        elif args.command == "deanon":
-            _cmd_deanon(args, emit, fmt)
-        elif args.command == "study":
-            _cmd_study(args, emit, fmt)
-        elif args.command == "match":
-            _cmd_match(args, emit)
+        args.handler(args, lambda lines: _emit(args.out, lines), args.format)
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

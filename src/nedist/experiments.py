@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import UsageError
 from .graph import Graph, build_graph
-from .ned import TreeDistanceCache, signature, signature_distance, tree_for
+from .ned import TreeDistanceCache, cache_for, signature, signature_distance, tree_for
 from .oracle import enumerate_trees, exact_unordered_ted
 from .ted import UNIT, WeightScheme, ted_star_distance_only
 from .tree import LevelTree, TreeNode
@@ -176,9 +176,7 @@ class DeanonReport:
 
 def _node_distance_fn(train: Graph, anon: Graph, k: int,
                       weights: WeightScheme, cache: TreeDistanceCache | None):
-    if cache is None:
-        cache = TreeDistanceCache(weights)
-    distance = signature_distance(train.directed, cache.distance)
+    distance = signature_distance(train.directed, cache_for(weights, cache).distance)
     return lambda u, v: distance(signature(anon, u, k), signature(train, v, k))
 
 

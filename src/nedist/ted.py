@@ -169,71 +169,89 @@ def _collections(children, child_labels, pad_to: int):
 
 # The minimum-cost matching at a level can have several optimal solutions,
 # and the relabeling they induce feeds the next level, so the level loop
-# explores cost-equal matchings and keeps the cheapest overall outcome.
-# Caps bound the exploration; levels wider than _TIE_WIDTH take the single
-# lexicographically smallest optimum.
+# explores cost-equal matchings and keeps the cheapest overall outcome.  The
+# padded side of a level receives the labels of the nodes it is matched to;
+# the exploration walks the perfect matchings of the tight edges (the edges
+# some optimum uses), depth first and receiver by receiver, and records each
+# new tuple of received labels.  Caps bound it: at most _TIE_VISIT_CAP
+# choices per level, _TIE_EMIT_CAP label tuples and _TIE_STATE_CAP states;
+# levels wider than _TIE_WIDTH take the single lexicographically smallest
+# optimum.
 _TIE_WIDTH = 64
 _TIE_STATE_CAP = 8
 _TIE_VISIT_CAP = 300
 _TIE_EMIT_CAP = 30
 
 
-def _reconciled_key(tree: LevelTree | None, level_index: int, labels) -> tuple:
+def _reconciled_key(tree: LevelTree | None, level_index: int, labels, prices=None) -> tuple:
     """Per-parent label multisets of a level's real nodes.
 
     Two reconciled labelings with equal keys are interchangeable for every
     later level: parents read only their own children's label multisets, and
     padded nodes' labels are never read at all.  Where nodes also carry a
-    delete-and-reinsert price, ``labels`` holds (label, price) pairs.
+    delete-and-reinsert price, each label is paired with it.
     """
     if tree is None or level_index >= tree.depth:
         return ()
     groups: dict[int, list] = {}
     for j, node in enumerate(tree.levels[level_index]):
         p = -1 if node.parent is None else node.parent
-        groups.setdefault(p, []).append(labels[j])
+        groups.setdefault(p, []).append(
+            labels[j] if prices is None else (labels[j], prices[j][0]))
     return tuple(sorted((p, tuple(sorted(g))) for p, g in groups.items()))
 
 
-def _enumerate_receiver_labelings(tight_lists, donor_labels, donor_masks,
-                                  real_count: int, n: int, emit):
-    """Walk perfect matchings of the tight-edge graph, receiver by receiver.
+def _tight_matchings(tight, donor_labels, real_count: int):
+    """Perfect matchings of the tight-edge graph, depth first, receiver by
+    receiver; ``tight[r, d]`` says receiver r may take donor d.
 
-    ``tight_lists[r]`` holds the donor indices tight with receiver r; donors
-    with equal (label, tight mask) are interchangeable and tried once per
-    choice point.  emit() gets the real receivers' label tuple and the donor
-    chosen for every receiver, and returns False to stop early.
+    Donors with equal (label, tight column) are interchangeable and tried
+    once per choice point, and the walk stops after _TIE_VISIT_CAP choices.
+    Yields the labels the real receivers (the first ``real_count``) get and
+    the donor of every receiver; the donor list is reused between yields.
     """
+    n = len(tight)
+    options = [np.flatnonzero(row).tolist() for row in tight]
+    masks = [int.from_bytes(np.packbits(col).tobytes(), "big") for col in tight.T]
     used = [False] * n
-    received = [0] * real_count
     chosen = [0] * n
-    budget = [_TIE_VISIT_CAP]
-
-    def rec(r: int) -> bool:
-        if r == n:
-            return emit(tuple(received), chosen)
-        seen = set()
-        for d in tight_lists[r]:
+    stack = [iter(options[0])]       # per receiver, the donors left to try
+    tried: list[set] = [set()]
+    budget = _TIE_VISIT_CAP
+    while stack:
+        r = len(stack) - 1
+        for d in stack[r]:
             if used[d]:
                 continue
-            key = (donor_labels[d], donor_masks[d]) if r < real_count else donor_masks[d]
-            if key in seen:
+            key = (donor_labels[d], masks[d]) if r < real_count else masks[d]
+            if key in tried[r]:
                 continue
-            seen.add(key)
-            budget[0] -= 1
-            if budget[0] < 0:
-                return False
+            tried[r].add(key)
+            budget -= 1
+            if budget < 0:
+                return
             used[d] = True
             chosen[r] = d
-            if r < real_count:
-                received[r] = donor_labels[d]
-            ok = rec(r + 1)
+            break
+        else:
+            stack.pop()
+            tried.pop()
+            if stack:
+                used[chosen[r - 1]] = False
+            continue
+        if r + 1 < n:
+            stack.append(iter(options[r + 1]))
+            tried.append(set())
+        else:
+            yield tuple(donor_labels[d] for d in chosen[:real_count]), chosen
             used[d] = False
-            if not ok:
-                return False
-        return True
 
-    rec(0)
+
+def _inverse(perm) -> list[int]:
+    inv = [0] * len(perm)
+    for x, y in enumerate(perm):
+        inv[y] = x
+    return inv
 
 
 def _search_costs(weights: WeightScheme, k: int):
@@ -317,7 +335,8 @@ def _check_matching(level: int, m: int, p_below: int) -> None:
 _OP_BITS = 32
 
 
-def _run(t1: LevelTree, t2: LevelTree, weights: WeightScheme, want_breakdown: bool):
+def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
+    """Distance and full per-level cost breakdown."""
     # the level search reads node order (tie-breaks, capped tie search), so it
     # runs on canonical order; fixing an internal order makes symmetry exact
     lit1, t1 = canonical_form(t1)
@@ -347,23 +366,18 @@ def _run(t1: LevelTree, t2: LevelTree, weights: WeightScheme, want_breakdown: bo
         n = max(na, nb)
         children_a = t1.children_lists(i) if i < t1.depth else []
         children_b = t2.children_lists(i) if i < t2.depth else []
+        # no node of either level has children: a zero matrix, identity match
+        leaves = not any(children_a) and not any(children_b)
         # level i + 1 nodes carry prices when the level above may reinsert them
         priced = i > 0 and reinsert[i - 1]
         # at a reinsert level the side with fewer children pays for the
         # children that its partner cannot keep, each at its own price; none
         # of them is padding, whose place among equal labels is not fixed
         a_pays = reinsert[i] and sizes_a[i + 1] < sizes_b[i + 1]
+        # the padded side (b when the sizes are equal) receives the labels of
+        # the nodes it is matched to
+        a_receives = na < nb
         nxt: dict = {}
-
-        def record(cur_a, cur_b, acc, m_hist, ops, prices):
-            if prices is None:
-                key = (_reconciled_key(t1, i, cur_a), _reconciled_key(t2, i, cur_b))
-            else:
-                key = (_reconciled_key(t1, i, [(l, p[0]) for l, p in zip(cur_a, prices[0])]),
-                       _reconciled_key(t2, i, [(l, p[0]) for l, p in zip(cur_b, prices[1])]))
-            old = nxt.get(key)
-            if old is None or acc < old[0]:
-                nxt[key] = (acc, cur_a, cur_b, m_hist, ops, prices)
 
         def priced_pairs(pair_a, kept):
             """Price of re-parenting each node pair (x, y) one level up: a
@@ -389,39 +403,37 @@ def _run(t1: LevelTree, t2: LevelTree, weights: WeightScheme, want_breakdown: bo
                                                             key=lambda s: s[0]):
             cols_a = _collections(children_a, lab_a, n)
             cols_b = _collections(children_b, lab_b, n)
-
-            if all(len(c) == 0 for c in cols_a) and all(len(c) == 0 for c in cols_b):
-                # bottom level or all-leaf level pair: zero matrix, identity match
-                _check_matching(i + 1, 0, p_below)
-                new_prices = (priced_pairs(range(n), lambda x, y: (0, 0))
-                              if priced else None)
-                record([0] * n, [0] * n, acc, (0,) + m_hist, ops, new_prices)
-                continue
-
-            labels = canonize_level(cols_a + cols_b)
-            if reinsert[i]:
-                if a_pays:
-                    groups = _children_by_label(children_a, lab_a, prices[0], n)
-                    W = _reinsert_weights(groups, cols_b, n, dtype)
-                else:
-                    groups = _children_by_label(children_b, lab_b, prices[1], n)
-                    W = _reinsert_weights(groups, cols_a, n, dtype).T
-                splits: dict = {}
+            if leaves:
+                cur_a = cur_b = [0] * n
+                m_i, f = 0, list(range(n))
             else:
-                W = build_bipartite_weights(cols_a, cols_b)
-            m_i, f, u, v = matching_with_duals(W)
-            cur_a = labels[:n]
-            cur_b = labels[n:]
+                labels = canonize_level(cols_a + cols_b)
+                cur_a, cur_b = labels[:n], labels[n:]
+                if reinsert[i]:
+                    if a_pays:
+                        groups = _children_by_label(children_a, lab_a, prices[0], n)
+                        W = _reinsert_weights(groups, cols_b, n, dtype)
+                    else:
+                        groups = _children_by_label(children_b, lab_b, prices[1], n)
+                        W = _reinsert_weights(groups, cols_a, n, dtype).T
+                    splits: dict = {}
+                else:
+                    W = build_bipartite_weights(cols_a, cols_b)
+                m_i, f, u, v = matching_with_duals(W)
+            donor_labels = cur_b if a_receives else cur_a
+
+            def kept_by_moves(x, y):
+                if leaves:
+                    return 0, 0
+                kept = (len(cols_a[x]) + len(cols_b[y]) - int(W[x, y])) // 2
+                return kept * move[i], kept * moved_at[i]
+
             if not reinsert[i]:
                 # every cost-equal matching re-parents the same number of nodes
                 _check_matching(i + 1, m_i, p_below)
                 M_i = (m_i - p_below) // 2
-                unit_step = (acc + (move[i] * M_i if M_i else 0), (m_i,) + m_hist,
-                             ops + M_i * moved_at[i])
-
-            def kept_by_moves(x, y):
-                kept = (len(cols_a[x]) + len(cols_b[y]) - int(W[x, y])) // 2
-                return kept * move[i], kept * moved_at[i]
+                unit_step = (move[i] * M_i if M_i else 0, m_i, M_i * moved_at[i],
+                             kept_by_moves)
 
             def split(x, y):
                 key = (x, cols_b[y]) if a_pays else (y, cols_a[x])
@@ -430,72 +442,48 @@ def _run(t1: LevelTree, t2: LevelTree, weights: WeightScheme, want_breakdown: bo
                     got = splits[key] = _split_children(groups[key[0]], key[1])
                 return got
 
-            def advance(pair_a, next_a, next_b):
-                """Record the state that the level pairing pair_a leads to."""
-                if not reinsert[i]:
-                    new_prices = priced_pairs(pair_a, kept_by_moves) if priced else None
-                    record(next_a, next_b, *unit_step, new_prices)
-                    return
-                # the paying side has no more children than the other, so
-                # the symmetric difference is the padding below plus twice
-                # the children it gives up
-                m_raw = p_below
-                cost = new_ops = 0
-                parts = []
-                for x, y in enumerate(pair_a):
-                    part = split(x, y)
-                    parts.append(part)
-                    m_raw += 2 * part[0]
-                    cost += part[1]
-                    new_ops += part[2]
-                new_prices = (priced_pairs(pair_a, lambda x, y: parts[x][3:])
-                              if priced else None)
-                record(next_a, next_b, acc + cost, (m_raw,) + m_hist, ops + new_ops,
-                       new_prices)
+            def advance(donors):
+                """Record the state reached by giving every receiver the label
+                of its donor."""
+                pair_a = donors if a_receives else _inverse(donors)
+                if reinsert[i]:
+                    # the paying side has no more children than the other, so
+                    # the symmetric difference is the padding below plus twice
+                    # the children it gives up
+                    parts = [split(x, y) for x, y in enumerate(pair_a)]
+                    cost, m_raw, new_ops = 0, p_below, 0
+                    for part in parts:
+                        m_raw += 2 * part[0]
+                        cost += part[1]
+                        new_ops += part[2]
 
-            if na < nb:
-                advance(f, [cur_b[f[x]] for x in range(n)], cur_b)
-            else:
-                inv = [0] * n
-                for x, y in enumerate(f):
-                    inv[y] = x
-                advance(f, cur_a, [cur_a[inv[y]] for y in range(n)])
+                    def kept(x, y):
+                        return parts[x][3:]
+                else:
+                    cost, m_raw, new_ops, kept = unit_step
+                got = [donor_labels[d] for d in donors]
+                next_a, next_b = (got, cur_b) if a_receives else (cur_a, got)
+                new_prices = priced_pairs(pair_a, kept) if priced else None
+                price_a, price_b = new_prices or (None, None)
+                key = (_reconciled_key(t1, i, next_a, price_a),
+                       _reconciled_key(t2, i, next_b, price_b))
+                old = nxt.get(key)
+                if old is None or acc + cost < old[0]:
+                    nxt[key] = (acc + cost, next_a, next_b, (m_raw,) + m_hist,
+                                ops + new_ops, new_prices)
 
-            if n > _TIE_WIDTH or len(nxt) >= _TIE_STATE_CAP:
+            advance(f if a_receives else _inverse(f))
+            if leaves or n > _TIE_WIDTH or len(nxt) >= _TIE_STATE_CAP:
                 continue
             tight = W == (np.asarray(u)[:, None] + np.asarray(v)[None, :])
-            if na < nb:
-                # a is the padded side and receives labels from b
-                tight_lists = [tuple(np.flatnonzero(tight[x])) for x in range(n)]
-                donor_labels = cur_b
-                donor_masks = [int.from_bytes(np.packbits(tight[:, y]).tobytes(), "big")
-                               for y in range(n)]
-                real_count = na
-            else:
-                tight_lists = [tuple(np.flatnonzero(tight[:, y])) for y in range(n)]
-                donor_labels = cur_a
-                donor_masks = [int.from_bytes(np.packbits(tight[x]).tobytes(), "big")
-                               for x in range(n)]
-                real_count = nb
-
             seen_received: set = set()
-
-            def emit(received, donors):
+            for received, donors in _tight_matchings(tight if a_receives else tight.T,
+                                                     donor_labels, min(na, nb)):
                 if received not in seen_received:
                     seen_received.add(received)
-                    got = list(received) + [0] * (n - len(received))
-                    if na < nb:
-                        advance(donors, got, cur_b)
-                    else:
-                        pair_a = [0] * n
-                        for y, x in enumerate(donors):
-                            pair_a[x] = y
-                        advance(pair_a, cur_a, got)
-                return (len(nxt) < _TIE_STATE_CAP
-                        and len(seen_received) < _TIE_EMIT_CAP)
-
-            _enumerate_receiver_labelings(tight_lists, donor_labels, donor_masks,
-                                          real_count, n, emit)
+                    advance(donors)
+                if len(nxt) >= _TIE_STATE_CAP or len(seen_received) >= _TIE_EMIT_CAP:
+                    break
 
         states = nxt
         p_below = P[i]
@@ -513,19 +501,12 @@ def _run(t1: LevelTree, t2: LevelTree, weights: WeightScheme, want_breakdown: bo
             total += weights.move_cost(i + 1) * moves[i]
         if reinserted[i]:
             total += 2 * weights.leaf_cost(i + 1) * reinserted[i]
-    if not want_breakdown:
-        return total
     if swapped:
         sizes_a, sizes_b = sizes_b, sizes_a
     return total, CostBreakdown(sizes_a, sizes_b, P, list(best[3]), moves,
                                 reinserted, total)
 
 
-def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
-    """Distance and full per-level cost breakdown."""
-    return _run(t1, t2, weights, want_breakdown=True)
-
-
 def ted_star_distance_only(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
-    """Same value contract as ted_star without materializing the breakdown."""
-    return _run(t1, t2, weights, want_breakdown=False)
+    """The distance of ted_star without its breakdown."""
+    return ted_star(t1, t2, weights)[0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import UsageError
 from .graph import Graph
-from .ned import TreeDistanceCache, signature, signature_distance
+from .ned import TreeDistanceCache, cache_for, signature, signature_distance
 from .ted import UNIT, WeightScheme
 
 LEAF_BUCKET = 16
@@ -165,8 +165,6 @@ def build_index(g: Graph, k: int, weights: WeightScheme = UNIT, seed: int = 0,
     """
     if g.n == 0:
         raise UsageError("cannot index an empty graph")
-    if cache is None:
-        cache = TreeDistanceCache(weights)
     return VpIndex([signature(g, v, k) for v in range(g.n)],
-                   signature_distance(g.directed, cache.distance),
+                   signature_distance(g.directed, cache_for(weights, cache).distance),
                    seed=seed, labels=g.labels)

@@ -98,3 +98,13 @@ def test_input_validation():
         min_cost_perfect_matching([[1, -2], [3, 4]])
     with pytest.raises(UsageError):
         min_cost_perfect_matching(np.array([[1, -2], [3, 4]]))
+    with pytest.raises(UsageError):
+        min_cost_perfect_matching(np.array(5))
+    with pytest.raises(UsageError):
+        min_cost_perfect_matching([[float("nan"), 1], [1, 0]])
+    with pytest.raises(UsageError):
+        min_cost_perfect_matching(np.array([[np.nan, 1], [1, 0]]))
+    with pytest.raises(UsageError):
+        min_cost_perfect_matching([[float("inf")] * 2, [1, 0]])
+    with pytest.raises(UsageError):
+        min_cost_perfect_matching(np.full((30, 30), np.inf))

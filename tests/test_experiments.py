@@ -11,7 +11,9 @@ from nedist.experiments import (
     scaling_study,
     ted_closeness_study,
 )
-from nedist.ned import tree_for
+from nedist.graph import parse_edge_list
+from nedist.ned import TreeDistanceCache, tree_for
+from nedist.ted import W_PLUS
 from nedist.oracle import enumerate_trees
 
 
@@ -114,6 +116,19 @@ def test_deanonymize_sampling_and_determinism():
     assert r1.sample_size == 15
     assert [(x.anon_node, x.rank, x.hit) for x in r1.rows] == \
         [(x.anon_node, x.rank, x.hit) for x in r2.rows]
+
+
+def test_deanonymize_refuses_a_cache_of_another_scheme():
+    # x and p are 1 apart under unit weights and 2 apart under W_PLUS
+    g = parse_edge_list("x y\nx z\ny y1\ny y2\np q\np r\nq q1\nr r1\n")
+    anon, truth = anonymize(g, AnonymizationSpec("naive", seed=3))
+    with pytest.raises(UsageError):
+        deanonymize(g, anon, truth, k=3, l=g.n, weights=W_PLUS, cache=TreeDistanceCache())
+    cached = deanonymize(g, anon, truth, k=3, l=g.n, weights=W_PLUS,
+                         cache=TreeDistanceCache(W_PLUS))
+    fresh = deanonymize(g, anon, truth, k=3, l=g.n, weights=W_PLUS)
+    unit = deanonymize(g, anon, truth, k=3, l=g.n)
+    assert cached.rows == fresh.rows != unit.rows
 
 
 def test_degree_baseline_runs():

@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import random
 from fractions import Fraction
 
@@ -163,3 +165,44 @@ def test_weighted_result_exact_rational():
     w = WeightScheme.from_table([(2, "1/3", "1/7")])
     total = ted_star_distance_only(P("(()())"), P("(()()())"), w)
     assert total == Fraction(1, 3)
+
+
+def _criterion_1_random_scheme():
+    # the random scheme of the release gate's criterion 1 (seed 97)
+    rng = random.Random(97)
+    leaf = {lv: Fraction(rng.randint(1, 8), rng.randint(1, 4)) for lv in range(1, 8)}
+    move = {lv: Fraction(rng.randint(1, 8), rng.randint(1, 4)) for lv in range(1, 8)}
+    return WeightScheme(leaf, move, name="random")
+
+
+def test_pinned_values_beyond_oracle_horizon():
+    # every (distance, breakdown) on trees far past the exhaustive oracle's
+    # 8 nodes, pinned by digest: a refactor of the level search must leave
+    # each of them byte-identical
+    rng = random.Random(5)
+    pairs = [(random_tree(rng.randint(3, 100), rng.randint(2, 7), rng),
+              random_tree(rng.randint(3, 100), rng.randint(2, 7), rng))
+             for _ in range(200)]
+    pairs += [(random_tree(n, 3, rng), random_tree(n, 3, rng)) for n in (250, 500)]
+    digest = hashlib.sha256()
+    for w in (UNIT, W_PLUS, _criterion_1_random_scheme()):
+        for a, b in pairs:
+            digest.update(repr(ted_star(a, b, w)).encode())
+    assert digest.hexdigest() == \
+        "2c57e90090e389ebb7aa35c4cc2ae07c9a7e2eaf7814164192057977214e93d7"
+
+
+def test_ted_star_leaves_no_reference_cycles():
+    rng = random.Random(8)
+    pairs = [(random_tree(40, 4, rng), random_tree(40, 4, rng)) for _ in range(50)]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for a, b in pairs:
+            ted_star(a, b)
+            ted_star(a, b, W_PLUS)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -5,7 +5,9 @@ import pytest
 
 from nedist.errors import UsageError
 from nedist.experiments import random_graph
-from nedist.ned import TreeDistanceCache, tree_for
+from nedist.graph import parse_edge_list
+from nedist.ned import TreeDistanceCache, ned, tree_for
+from nedist.ted import W_PLUS
 from nedist.vptree import VpIndex, build_index
 
 
@@ -115,3 +117,14 @@ def test_graph_index_directed():
     got, _ = index.knn(q, 3)
     assert got == index.linear_scan(q, l=3)
     assert ("v5", 0) in got
+
+
+def test_graph_index_refuses_a_cache_of_another_scheme():
+    # x and p are 1 apart under unit weights and 2 apart under W_PLUS
+    g = parse_edge_list("x y\nx z\ny y1\ny y2\np q\np r\nq q1\nr r1\n")
+    with pytest.raises(UsageError):
+        build_index(g, 3, weights=W_PLUS, cache=TreeDistanceCache())
+    index = build_index(g, 3, weights=W_PLUS, cache=TreeDistanceCache(W_PLUS))
+    got, _ = index.range_query(tree_for(g, "x", 3), 2)
+    assert ("p", 2) in got
+    assert ned(g, "x", g, "p", 3, W_PLUS) == 2
