@@ -30,12 +30,16 @@ def _validate(matrix):
         if not ((matrix >= 0) & (matrix < math.inf)).all():
             raise UsageError("cost matrix entries must be finite non-negative numbers")
         return matrix.shape[0]
-    n = len(matrix)
+    try:
+        sides = [len(row) for row in matrix]
+    except TypeError:
+        raise UsageError("cost matrix must be a list of rows") from None
+    n = len(sides)
     if n == 0:
         raise UsageError("cost matrix must be non-empty")
+    if any(side != n for side in sides):
+        raise UsageError("cost matrix must be square")
     for row in matrix:
-        if len(row) != n:
-            raise UsageError("cost matrix must be square")
         for x in row:
             if not 0 <= x < math.inf:
                 raise UsageError("cost matrix entries must be finite non-negative numbers")

@@ -272,11 +272,10 @@ def _cmd_ned(args, emit, fmt):
 
 
 def _cmd_knn(args, emit, fmt):
-    w = _weights_arg(args.weights)
+    cache = TreeDistanceCache(_weights_arg(args.weights))
     g = load_graph(args.graph, directed=args.directed)
     gq = load_graph(args.query_graph, directed=args.directed)
-    cache = TreeDistanceCache(w)
-    index = build_index(g, args.k, weights=w, seed=args.index_seed, cache=cache)
+    index = build_index(g, args.k, seed=args.index_seed, cache=cache)
     results, evals = index.knn(signature(gq, args.query_node, args.k), args.l)
     rows = [{"node": lab, "distance": _number(d)} for lab, d in results]
     lines = _rows_to_lines(rows, ["node", "distance"], fmt)
@@ -286,11 +285,11 @@ def _cmd_knn(args, emit, fmt):
 
 
 def _cmd_graphdist(args, emit, fmt):
-    w = _weights_arg(args.weights)
+    cache = TreeDistanceCache(_weights_arg(args.weights))
     g1 = load_graph(args.graph1, directed=args.directed)
     g2 = load_graph(args.graph2, directed=args.directed)
-    d = hausdorff_graph_distance(g1, g2, args.k, weights=w,
-                                 sample=args.sample, seed=args.seed)
+    d = hausdorff_graph_distance(g1, g2, args.k, sample=args.sample,
+                                 seed=args.seed, cache=cache)
     emit([_number(d)])
 
 
@@ -317,13 +316,14 @@ def _cmd_oracle(args, emit, fmt):
 
 
 def _cmd_deanon(args, emit, fmt):
-    w = _weights_arg(args.weights)
+    cache = TreeDistanceCache(_weights_arg(args.weights))
     g = load_graph(args.graph, directed=args.directed)
     anon, truth = anonymize(g, AnonymizationSpec(args.method, p=args.p,
                                                  seed=args.seed))
     report = deanonymize(g, anon, truth, k=args.k, l=args.l,
-                         sample_size=args.sample, seed=args.seed, weights=w,
-                         tie_policy=args.tie_policy, method=args.ranker)
+                         sample_size=args.sample, seed=args.seed,
+                         tie_policy=args.tie_policy, method=args.ranker,
+                         cache=cache)
     rows = [{"anon_node": r.anon_node, "true_id": r.true_id, "rank": r.rank,
              "hit": int(r.hit)} for r in report.rows]
     lines = _rows_to_lines(rows, ["anon_node", "true_id", "rank", "hit"], fmt)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 from .errors import UsageError
 from .graph import Graph, build_graph
-from .ned import TreeDistanceCache, cache_for, signature, signature_distance, tree_for
+from .ned import TreeDistanceCache, signature, signature_distance, tree_for
 from .oracle import enumerate_trees, exact_unordered_ted
-from .ted import UNIT, WeightScheme, ted_star_distance_only
+from .ted import ted_star_distance_only
 from .tree import LevelTree, TreeNode
 
 ANON_METHODS = ("naive", "sparsify", "perturb")
@@ -174,12 +174,6 @@ class DeanonReport:
         return sum(r.hit for r in self.rows) / len(self.rows)
 
 
-def _node_distance_fn(train: Graph, anon: Graph, k: int,
-                      weights: WeightScheme, cache: TreeDistanceCache | None):
-    distance = signature_distance(train.directed, cache_for(weights, cache).distance)
-    return lambda u, v: distance(signature(anon, u, k), signature(train, v, k))
-
-
 def _degree_signature(g: Graph, v: int):
     mode = "out" if g.directed else "undirected"
     return tuple(sorted(len(g.neighbors(w, mode)) for w in g.neighbors(v, mode)))
@@ -213,14 +207,14 @@ def _degree_distance_fn(train: Graph, anon: Graph):
 
 def deanonymize(train: Graph, anon: Graph, truth: dict, k: int, l: int,
                 sample_size: int | None = None, seed: int = 0,
-                weights: WeightScheme = UNIT, tie_policy: str = "inclusive",
-                method: str = "ned",
+                tie_policy: str = "inclusive", method: str = "ned",
                 cache: TreeDistanceCache | None = None) -> DeanonReport:
     """Rank training nodes against each sampled anonymous node.
 
     A query is a hit when its true identity lands within the top l; with the
     inclusive tie policy every node tied with the l-th distance also counts
-    as inside the cutoff.
+    as inside the cutoff.  The ned ranker uses the weight scheme of
+    ``cache`` (a new unit cache when None).
     """
     if l < 1:
         raise UsageError("l must be >= 1")
@@ -229,7 +223,10 @@ def deanonymize(train: Graph, anon: Graph, truth: dict, k: int, l: int,
     if train.directed != anon.directed:
         raise UsageError("train and anonymous graphs must share directedness")
     if method == "ned":
-        dist = _node_distance_fn(train, anon, k, weights, cache)
+        distance = signature_distance(train.directed, (cache or TreeDistanceCache()).distance)
+
+        def dist(u, v):
+            return distance(signature(anon, u, k), signature(train, v, k))
     elif method == "degree":
         dist = _degree_distance_fn(train, anon)
     else:
@@ -305,7 +302,7 @@ def ted_closeness_study(pairs=None, n_max: int = 6) -> TedClosenessStats:
 # timing
 
 def scaling_study(sizes=(50, 100, 200, 500), ks=(3,), pairs_per_bucket: int = 5,
-                  seed: int = 0, timer=time.perf_counter) -> list[dict]:
+                  seed: int = 0) -> list[dict]:
     """Wall-time rows for random tree pairs, one row per (size, depth) bucket.
 
     Trees are depth-capped at the bucket's k, matching how neighborhood
@@ -320,9 +317,9 @@ def scaling_study(sizes=(50, 100, 200, 500), ks=(3,), pairs_per_bucket: int = 5,
             for _ in range(pairs_per_bucket):
                 t1 = random_tree(size, max(k, 1), rng)
                 t2 = random_tree(size, max(k, 1), rng)
-                start = timer()
+                start = time.perf_counter()
                 ted_star_distance_only(t1, t2)
-                samples.append((timer() - start) * 1000.0)
+                samples.append((time.perf_counter() - start) * 1000.0)
             samples.sort()
             rows.append({
                 "size": size,
@@ -339,8 +336,7 @@ def scaling_study(sizes=(50, 100, 200, 500), ks=(3,), pairs_per_bucket: int = 5,
 # effect of the neighborhood depth k
 
 def k_effect_study(g1: Graph, g2: Graph, num_queries: int, k_range=range(1, 7),
-                   l: int = 5, seed: int = 0,
-                   weights: WeightScheme = UNIT) -> list[dict]:
+                   l: int = 5, seed: int = 0) -> list[dict]:
     """Per-k counts of distance-0 nearest neighbors and top-l cutoff ties.
 
     Queries are seeded nodes of g1 ranked against all nodes of g2.  Columns:
@@ -352,9 +348,11 @@ def k_effect_study(g1: Graph, g2: Graph, num_queries: int, k_range=range(1, 7),
     rng = random.Random(seed)
     queries = (sorted(rng.sample(range(g1.n), num_queries))
                if num_queries < g1.n else list(range(g1.n)))
+    # the distance depends only on the two canonical literals, so one cache
+    # serves every k
+    cache = TreeDistanceCache()
     rows = []
     for k in k_range:
-        cache = TreeDistanceCache(weights)
         nn0_counts = []
         tie_counts = []
         for u in queries:

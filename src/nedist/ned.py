@@ -85,16 +85,6 @@ class TreeDistanceCache:
         return d
 
 
-def cache_for(weights: WeightScheme, cache: TreeDistanceCache | None) -> TreeDistanceCache:
-    """``cache``, or a new cache for ``weights`` when it is None.  A cache
-    built for another weight scheme is refused: it would answer in that one."""
-    if cache is None:
-        return TreeDistanceCache(weights)
-    if cache.weights is not weights:
-        raise UsageError("cache was built for a different weight scheme")
-    return cache
-
-
 def _ned(gu: Graph, u, gv: Graph, v, k: int, weights: WeightScheme):
     distance = signature_distance(
         gu.directed, lambda a, b: ted_star_distance_only(a, b, weights))
@@ -127,10 +117,10 @@ def _signature_groups(g: Graph, nodes, k: int):
 
 
 def hausdorff_graph_distance(a: Graph, b: Graph, k: int,
-                             weights: WeightScheme = UNIT,
                              sample: int | None = None, seed: int = 0,
                              cache: TreeDistanceCache | None = None):
-    """Symmetric Hausdorff distance between the node sets of two graphs.
+    """Symmetric Hausdorff distance between the node sets of two graphs,
+    under the weight scheme of ``cache`` (a new unit cache when None).
 
     Exact over all nodes by default; ``sample`` caps the node count per side
     with a seeded deterministic subset (an approximation, flagged to callers
@@ -150,7 +140,7 @@ def hausdorff_graph_distance(a: Graph, b: Graph, k: int,
 
     sig_a = _signature_groups(a, pick(a, 0), k)
     sig_b = _signature_groups(b, pick(b, 1), k)
-    dist = signature_distance(a.directed, cache_for(weights, cache).distance)
+    dist = signature_distance(a.directed, (cache or TreeDistanceCache()).distance)
     rows = [[dist(sa, sb) for sb in sig_b] for sa in sig_a]
     h_ab = max(min(row) for row in rows)
     h_ba = max(min(rows[i][j] for i in range(len(sig_a)))

@@ -143,45 +143,32 @@ def _literal_key(s: str) -> tuple[int, str]:
 
 
 def parse_tree_literal(s: str) -> LevelTree:
-    """Parse a balanced-parenthesis literal into a LevelTree."""
+    """Parse a balanced-parenthesis literal into a LevelTree.
+
+    A literal lists each level's nodes in depth-first order, which is the
+    level order itself: a node's parent is the last node opened one level up.
+    """
     s = s.strip()
     if not s:
         raise TreeLiteralError("empty literal", 0)
-    # nested representation first, then breadth-first layout
-    stack: list[list] = []
-    root_children: list | None = None
+    levels: list[list[TreeNode]] = []
+    depth = 0   # nodes opened and not yet closed
     for pos, ch in enumerate(s):
         if ch == "(":
-            stack.append([])
+            if depth == len(levels):
+                levels.append([])
+            levels[depth].append(TreeNode(len(levels[depth - 1]) - 1 if depth else None))
+            depth += 1
         elif ch == ")":
-            if not stack:
+            if not depth:
                 raise TreeLiteralError("unmatched ')'", pos)
-            done = stack.pop()
-            if stack:
-                stack[-1].append(done)
-            elif root_children is None:
-                if pos != len(s) - 1:
-                    raise TreeLiteralError("trailing characters after root", pos + 1)
-                root_children = done
-            else:
-                raise TreeLiteralError("multiple roots", pos)
+            depth -= 1
+            if not depth and pos != len(s) - 1:
+                raise TreeLiteralError("trailing characters after root", pos + 1)
         else:
             raise TreeLiteralError(f"unexpected character {ch!r}", pos)
-    if stack or root_children is None:
+    if depth:
         raise TreeLiteralError("unbalanced literal", len(s))
-
-    levels: list[list[TreeNode]] = [[TreeNode(None)]]
-    frontier: list[tuple[int, list]] = [(0, root_children)]
-    while frontier:
-        nxt_nodes: list[TreeNode] = []
-        nxt: list[tuple[int, list]] = []
-        for pi, children in frontier:
-            for child in children:
-                nxt.append((len(nxt_nodes), child))
-                nxt_nodes.append(TreeNode(pi))
-        if nxt_nodes:
-            levels.append(nxt_nodes)
-        frontier = nxt
     return LevelTree(levels)
 
 
@@ -189,8 +176,10 @@ def _ahu(t: LevelTree) -> tuple[str, list[list[list[int]]]]:
     """AHU canonical form, one level at a time from the bottom up.
 
     Returns the root's literal and, per level, each node's children in
-    canonical order: ascending by (literal length, literal).
+    canonical order: ascending by (literal length, literal).  A malformed
+    tree raises UsageError.
     """
+    t.validate()
     below: list[str] = []
     ordered: list[list[list[int]]] = [[] for _ in range(t.depth)]
     for i in range(t.depth - 1, -1, -1):

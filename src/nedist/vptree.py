@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from .errors import UsageError
 from .graph import Graph
-from .ned import TreeDistanceCache, cache_for, signature, signature_distance
-from .ted import UNIT, WeightScheme
+from .ned import TreeDistanceCache, signature, signature_distance
 
 LEAF_BUCKET = 16
 
@@ -156,9 +155,10 @@ class VpIndex:
         return len(self.items)
 
 
-def build_index(g: Graph, k: int, weights: WeightScheme = UNIT, seed: int = 0,
+def build_index(g: Graph, k: int, seed: int = 0,
                 cache: TreeDistanceCache | None = None) -> VpIndex:
-    """Index every node of ``g`` by its depth-k neighborhood signature.
+    """Index every node of ``g`` by its depth-k neighborhood signature, under
+    the weight scheme of ``cache`` (a new unit cache when None).
 
     Directed graphs are indexed under the directed node distance (sum of the
     incoming-tree and outgoing-tree distances).
@@ -166,5 +166,5 @@ def build_index(g: Graph, k: int, weights: WeightScheme = UNIT, seed: int = 0,
     if g.n == 0:
         raise UsageError("cannot index an empty graph")
     return VpIndex([signature(g, v, k) for v in range(g.n)],
-                   signature_distance(g.directed, cache_for(weights, cache).distance),
+                   signature_distance(g.directed, (cache or TreeDistanceCache()).distance),
                    seed=seed, labels=g.labels)

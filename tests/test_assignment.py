@@ -100,6 +100,9 @@ def test_input_validation():
         min_cost_perfect_matching(np.array([[1, -2], [3, 4]]))
     with pytest.raises(UsageError):
         min_cost_perfect_matching(np.array(5))
+    for not_rows in (5, [1, 2], [[1, 2], 3]):
+        with pytest.raises(UsageError):
+            min_cost_perfect_matching(not_rows)
     with pytest.raises(UsageError):
         min_cost_perfect_matching([[float("nan"), 1], [1, 0]])
     with pytest.raises(UsageError):

@@ -69,6 +69,18 @@ def test_knn(graph_file, capsys):
     assert "evaluations" in out
 
 
+def test_knn_wplus(tmp_path, capsys):
+    # x and p are 1 apart under unit weights and 2 apart under W_PLUS
+    p = tmp_path / "xp.el"
+    p.write_text("x y\nx z\ny y1\ny y2\np q\np r\nq q1\nr r1\n")
+    query = ["knn", "--graph", str(p), "--k", "3", "--query-graph", str(p),
+             "--query-node", "x", "-l", "10", "--format", "csv"]
+    assert run(query) == 0
+    assert "p,1" in capsys.readouterr().out.split()
+    assert run(query + ["--weights", "wplus"]) == 0
+    assert "p,2" in capsys.readouterr().out.split()
+
+
 def test_graphdist(graph_file, capsys):
     assert run(["graphdist", graph_file, graph_file, "--k", "3"]) == 0
     assert capsys.readouterr().out == "0\n"

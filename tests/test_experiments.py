@@ -118,17 +118,15 @@ def test_deanonymize_sampling_and_determinism():
         [(x.anon_node, x.rank, x.hit) for x in r2.rows]
 
 
-def test_deanonymize_refuses_a_cache_of_another_scheme():
+def test_deanonymize_takes_its_scheme_from_the_cache():
     # x and p are 1 apart under unit weights and 2 apart under W_PLUS
     g = parse_edge_list("x y\nx z\ny y1\ny y2\np q\np r\nq q1\nr r1\n")
     anon, truth = anonymize(g, AnonymizationSpec("naive", seed=3))
-    with pytest.raises(UsageError):
-        deanonymize(g, anon, truth, k=3, l=g.n, weights=W_PLUS, cache=TreeDistanceCache())
-    cached = deanonymize(g, anon, truth, k=3, l=g.n, weights=W_PLUS,
-                         cache=TreeDistanceCache(W_PLUS))
-    fresh = deanonymize(g, anon, truth, k=3, l=g.n, weights=W_PLUS)
+    weighted = deanonymize(g, anon, truth, k=3, l=g.n, cache=TreeDistanceCache(W_PLUS))
     unit = deanonymize(g, anon, truth, k=3, l=g.n)
-    assert cached.rows == fresh.rows != unit.rows
+    assert unit.rows == deanonymize(g, anon, truth, k=3, l=g.n,
+                                    cache=TreeDistanceCache()).rows
+    assert weighted.rows != unit.rows
 
 
 def test_degree_baseline_runs():

@@ -96,11 +96,13 @@ def test_hausdorff_sampling_deterministic():
     assert len(runs) == 1
 
 
-def test_hausdorff_cache_scheme_mismatch():
-    g = parse_edge_list(PATH5)
-    with pytest.raises(UsageError):
-        hausdorff_graph_distance(g, g, 2, weights=W_PLUS,
-                                 cache=TreeDistanceCache(UNIT))
+def test_hausdorff_takes_its_scheme_from_the_cache():
+    # x and p are 1 apart under unit weights and 2 apart under W_PLUS
+    g1 = parse_edge_list("x y\nx z\ny y1\ny y2\n")
+    g2 = parse_edge_list("p q\np r\nq q1\nr r1\n")
+    assert hausdorff_graph_distance(g1, g2, 3) == 1
+    assert hausdorff_graph_distance(g1, g2, 3, cache=TreeDistanceCache(UNIT)) == 1
+    assert hausdorff_graph_distance(g1, g2, 3, cache=TreeDistanceCache(W_PLUS)) == 2
 
 
 def test_hausdorff_directed():

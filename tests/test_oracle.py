@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -12,6 +11,7 @@ from nedist.oracle import (
 )
 from nedist.ted import UNIT, W_PLUS, WeightScheme, ted_star_distance_only
 from nedist.tree import parse_tree_literal as P
+from schemes import criterion_1_random_scheme
 
 
 def lits(n_max, depth_max=10**9):
@@ -77,15 +77,7 @@ def test_exact_ted_star_weighted_basics():
     assert exact_ted_star(P("()"), P("((()))"), weights=UNIT) == 2
 
 
-def _criterion_1_random_scheme():
-    # the random scheme of the release gate's criterion 1 (seed 97)
-    rng = random.Random(97)
-    leaf = {lv: Fraction(rng.randint(1, 8), rng.randint(1, 4)) for lv in range(1, 8)}
-    move = {lv: Fraction(rng.randint(1, 8), rng.randint(1, 4)) for lv in range(1, 8)}
-    return WeightScheme(leaf, move, name="random")
-
-
-@pytest.mark.parametrize("scheme", [UNIT, W_PLUS, _criterion_1_random_scheme()],
+@pytest.mark.parametrize("scheme", [UNIT, W_PLUS, criterion_1_random_scheme()],
                          ids=lambda w: w.name)
 def test_weighted_ted_star_equals_oracle(scheme):
     trees = list(enumerate_trees(6))

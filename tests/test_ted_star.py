@@ -17,6 +17,7 @@ from nedist.ted import (
     ted_star_distance_only,
 )
 from nedist.tree import parse_tree_literal as P
+from schemes import criterion_1_random_scheme
 
 
 def test_canonize_orders_by_size_then_elements():
@@ -167,14 +168,6 @@ def test_weighted_result_exact_rational():
     assert total == Fraction(1, 3)
 
 
-def _criterion_1_random_scheme():
-    # the random scheme of the release gate's criterion 1 (seed 97)
-    rng = random.Random(97)
-    leaf = {lv: Fraction(rng.randint(1, 8), rng.randint(1, 4)) for lv in range(1, 8)}
-    move = {lv: Fraction(rng.randint(1, 8), rng.randint(1, 4)) for lv in range(1, 8)}
-    return WeightScheme(leaf, move, name="random")
-
-
 def test_pinned_values_beyond_oracle_horizon():
     # every (distance, breakdown) on trees far past the exhaustive oracle's
     # 8 nodes, pinned by digest: a refactor of the level search must leave
@@ -185,7 +178,7 @@ def test_pinned_values_beyond_oracle_horizon():
              for _ in range(200)]
     pairs += [(random_tree(n, 3, rng), random_tree(n, 3, rng)) for n in (250, 500)]
     digest = hashlib.sha256()
-    for w in (UNIT, W_PLUS, _criterion_1_random_scheme()):
+    for w in (UNIT, W_PLUS, criterion_1_random_scheme()):
         for a, b in pairs:
             digest.update(repr(ted_star(a, b, w)).encode())
     assert digest.hexdigest() == \

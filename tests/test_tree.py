@@ -2,6 +2,8 @@ import pytest
 
 from nedist.errors import TreeLiteralError, UsageError
 from nedist.graph import parse_edge_list
+from nedist.ned import TreeDistanceCache
+from nedist.ted import ted_star
 from nedist.tree import (
     LevelTree,
     TreeNode,
@@ -116,6 +118,28 @@ def test_validate_rejects_bad_roots():
     with pytest.raises(UsageError):
         LevelTree(levels=[[TreeNode(parent=None)],
                           [TreeNode(parent=3)]]).validate()
+
+
+MALFORMED = {
+    "empty": [],
+    "parent out of range": [[TreeNode(None)], [TreeNode(3)]],
+    "parentless non-root": [[TreeNode(None)], [TreeNode(None)]],
+    "two roots": [[TreeNode(None), TreeNode(None)]],
+    "root with a parent": [[TreeNode(0)]],
+}
+
+
+@pytest.mark.parametrize("levels", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_trees_are_usage_errors(levels):
+    ok = parse_tree_literal("(()())")
+    with pytest.raises(UsageError):
+        ted_star(LevelTree(levels), ok)
+    with pytest.raises(UsageError):
+        ted_star(ok, LevelTree(levels))
+    with pytest.raises(UsageError):
+        LevelTree(levels).canonical_literal()
+    with pytest.raises(UsageError):
+        TreeDistanceCache().distance(LevelTree(levels), ok)
 
 
 def test_extraction_deterministic():

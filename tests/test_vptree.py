@@ -119,12 +119,10 @@ def test_graph_index_directed():
     assert ("v5", 0) in got
 
 
-def test_graph_index_refuses_a_cache_of_another_scheme():
+def test_graph_index_takes_its_scheme_from_the_cache():
     # x and p are 1 apart under unit weights and 2 apart under W_PLUS
     g = parse_edge_list("x y\nx z\ny y1\ny y2\np q\np r\nq q1\nr r1\n")
-    with pytest.raises(UsageError):
-        build_index(g, 3, weights=W_PLUS, cache=TreeDistanceCache())
-    index = build_index(g, 3, weights=W_PLUS, cache=TreeDistanceCache(W_PLUS))
+    index = build_index(g, 3, cache=TreeDistanceCache(W_PLUS))
     got, _ = index.range_query(tree_for(g, "x", 3), 2)
     assert ("p", 2) in got
     assert ned(g, "x", g, "p", 3, W_PLUS) == 2
