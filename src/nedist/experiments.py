@@ -218,6 +218,8 @@ def deanonymize(train: Graph, anon: Graph, truth: dict, k: int, l: int,
     """
     if l < 1:
         raise UsageError("l must be >= 1")
+    if sample_size is not None and sample_size < 1:
+        raise UsageError("sample_size must be >= 1")
     if tie_policy not in ("inclusive", "exclusive"):
         raise UsageError(f"unknown tie policy {tie_policy!r}")
     if train.directed != anon.directed:
@@ -235,6 +237,9 @@ def deanonymize(train: Graph, anon: Graph, truth: dict, k: int, l: int,
     queries = list(range(anon.n))
     if sample_size is not None and sample_size < len(queries):
         queries = sorted(random.Random(seed).sample(queries, sample_size))
+    for u in queries:
+        if truth.get(anon.labels[u]) not in train.index:
+            raise UsageError(f"truth map gives no training node for {anon.labels[u]!r}")
 
     rows = []
     for u in queries:
@@ -345,6 +350,8 @@ def k_effect_study(g1: Graph, g2: Graph, num_queries: int, k_range=range(1, 7),
     """
     if g1.directed or g2.directed:
         raise UsageError("k_effect_study expects undirected graphs")
+    if num_queries < 1:
+        raise UsageError("num_queries must be >= 1")
     rng = random.Random(seed)
     queries = (sorted(rng.sample(range(g1.n), num_queries))
                if num_queries < g1.n else list(range(g1.n)))

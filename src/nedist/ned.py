@@ -13,7 +13,7 @@ import random
 from .errors import UsageError
 from .graph import Graph
 from .ted import UNIT, WeightScheme, ted_star_distance_only
-from .tree import LevelTree, canonical_form, extract_k_adjacent_tree
+from .tree import LevelTree, extract_k_adjacent_tree
 # unused here, but benchmarks/tracer.py hooks this name under nedist.ned
 from .tree import parse_tree_literal  # noqa: F401
 
@@ -55,22 +55,14 @@ class TreeDistanceCache:
 
     Isomorphic trees are at distance 0 from each other, and the distance
     depends only on the canonical forms, so the canonical literal fully
-    determines it; batch workloads hit the same shapes constantly.  The
-    cache keeps one tree in canonical level order per distinct literal.
+    determines it; batch workloads hit the same shapes constantly.
     """
 
     def __init__(self, weights: WeightScheme = UNIT):
         self.weights = weights
         self._memo: dict[tuple[str, str], object] = {}
-        self._canonical: dict[str, LevelTree] = {}
         self.evaluations = 0   # logical distance evaluations requested
         self.computations = 0  # distances actually computed
-
-    def _tree(self, literal: str, t: LevelTree) -> LevelTree:
-        c = self._canonical.get(literal)
-        if c is None:
-            c = self._canonical[literal] = canonical_form(t)[1]
-        return c
 
     def distance(self, t1: LevelTree, t2: LevelTree):
         self.evaluations += 1
@@ -80,7 +72,7 @@ class TreeDistanceCache:
         d = self._memo.get(key)
         if d is None:
             self.computations += 1
-            d = ted_star_distance_only(self._tree(a, t1), self._tree(b, t2), self.weights)
+            d = ted_star_distance_only(t1, t2, self.weights)
             self._memo[key] = d
         return d
 
@@ -130,6 +122,8 @@ def hausdorff_graph_distance(a: Graph, b: Graph, k: int,
         raise UsageError("graphs must both be directed or both undirected")
     if a.n == 0 or b.n == 0:
         raise UsageError("Hausdorff distance is undefined for an empty graph")
+    if sample is not None and sample < 1:
+        raise UsageError("sample must be >= 1")
 
     def pick(g: Graph, salt: int):
         nodes = range(g.n)

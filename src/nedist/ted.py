@@ -26,6 +26,7 @@ plain symmetric difference, so unit-weight distances never take that path.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -66,23 +67,16 @@ class WeightScheme:
             return spec
         if isinstance(spec, Mapping):
             for level, w in spec.items():
-                if w <= 0:
-                    raise UsageError(f"weight for level {level} must be positive, got {w}")
+                _check_weight(w, f"weight for level {level}")
             table = dict(spec)
             return lambda level: table.get(level, 1)
         raise UsageError("weight spec must be a mapping, callable, or None")
 
     def leaf_cost(self, level: int):
-        w = self._leaf(level)
-        if w <= 0:
-            raise UsageError(f"leaf weight at level {level} must be positive")
-        return w
+        return _check_weight(self._leaf(level), f"leaf weight at level {level}")
 
     def move_cost(self, level: int):
-        w = self._move(level)
-        if w <= 0:
-            raise UsageError(f"move weight at level {level} must be positive")
-        return w
+        return _check_weight(self._move(level), f"move weight at level {level}")
 
     @classmethod
     def from_table(cls, rows, name: str = "file") -> "WeightScheme":
@@ -94,6 +88,13 @@ class WeightScheme:
             leaf[int(level)] = Fraction(w1)
             move[int(level)] = Fraction(w2)
         return cls(leaf=leaf, move=move, name=name)
+
+
+def _check_weight(w, what: str):
+    """``w`` if it is a real number above 0 (not NaN), else UsageError."""
+    if not (isinstance(w, numbers.Real) and w > 0):
+        raise UsageError(f"{what} must be a positive number, got {w!r}")
+    return w
 
 
 UNIT = WeightScheme(name="unit")
@@ -161,12 +162,6 @@ def build_bipartite_weights(collections_a, collections_b) -> np.ndarray:
     return sizes_a[:, None] + sizes_b[None, :] - 2 * overlap
 
 
-def _collections(children, child_labels, pad_to: int):
-    cols = [tuple(sorted(child_labels[c] for c in kids)) for kids in children]
-    cols.extend(() for _ in range(pad_to - len(cols)))
-    return cols
-
-
 # The minimum-cost matching at a level can have several optimal solutions,
 # and the relabeling they induce feeds the next level, so the level loop
 # explores cost-equal matchings and keeps the cheapest overall outcome.  The
@@ -183,22 +178,22 @@ _TIE_VISIT_CAP = 300
 _TIE_EMIT_CAP = 30
 
 
-def _reconciled_key(tree: LevelTree | None, level_index: int, labels, prices=None) -> tuple:
-    """Per-parent label multisets of a level's real nodes.
-
-    Two reconciled labelings with equal keys are interchangeable for every
-    later level: parents read only their own children's label multisets, and
-    padded nodes' labels are never read at all.  Where nodes also carry a
-    delete-and-reinsert price, each label is paired with it.
+def _handed_up(spans, labels, prices=None) -> tuple:
+    """Per parent, the sorted labels of its children ``labels[s:e]``, each
+    paired with its price where the level is priced: all that the level above
+    reads of a labeling (padded nodes' labels are never read), so labelings
+    that hand up equal collections are interchangeable for every later level.
     """
-    if tree is None or level_index >= tree.depth:
-        return ()
-    groups: dict[int, list] = {}
-    for j, node in enumerate(tree.levels[level_index]):
-        p = -1 if node.parent is None else node.parent
-        groups.setdefault(p, []).append(
-            labels[j] if prices is None else (labels[j], prices[j][0]))
-    return tuple(sorted((p, tuple(sorted(g))) for p, g in groups.items()))
+    if prices is None:
+        return tuple(tuple(sorted(labels[s:e])) for s, e in spans)
+    return tuple(tuple(sorted((labels[j], prices[j][0]) for j in range(s, e)))
+                 for s, e in spans)
+
+
+def _spans(counts) -> list[tuple[int, int]]:
+    """Each node's range of children one level down, from its child count."""
+    ends = list(accumulate(counts))
+    return list(zip([0] + ends[:-1], ends))
 
 
 def _tight_matchings(tight, donor_labels, real_count: int):
@@ -272,12 +267,12 @@ def _search_costs(weights: WeightScheme, k: int):
     return leaf, move, np.int64
 
 
-def _children_by_label(children, labels, prices, n: int):
+def _children_by_label(spans, labels, prices, n: int):
     """Per node: child label -> child prices, cheapest first."""
     groups: list[dict] = []
-    for kids in children:
+    for s, e in spans:
         g: dict = {}
-        for c in kids:
+        for c in range(s, e):
             g.setdefault(labels[c], []).append(prices[c])
         for lst in g.values():
             lst.sort(key=lambda p: p[0])
@@ -338,15 +333,20 @@ _OP_BITS = 32
 def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
     """Distance and full per-level cost breakdown."""
     # the level search reads node order (tie-breaks, capped tie search), so it
-    # runs on canonical order; fixing an internal order makes symmetry exact
-    lit1, t1 = canonical_form(t1)
-    lit2, t2 = canonical_form(t2)
+    # runs on the canonical shapes; fixing an internal order makes symmetry exact
+    lit1, shape_a = canonical_form(t1)
+    lit2, shape_b = canonical_form(t2)
     swapped = lit1 > lit2
     if swapped:
-        t1, t2 = t2, t1
-    k = max(t1.depth, t2.depth)
-    sizes_a = [len(t1.levels[i]) if i < t1.depth else 0 for i in range(k)]
-    sizes_b = [len(t2.levels[i]) if i < t2.depth else 0 for i in range(k)]
+        shape_a, shape_b = shape_b, shape_a
+    k = max(len(shape_a), len(shape_b))
+    shape_a += ((),) * (k - len(shape_a))   # no nodes below a tree's depth
+    shape_b += ((),) * (k - len(shape_b))
+    # per level, the nodes of each parent as an index range (the root alone)
+    by_parent_a = [[(0, 1)]] + [_spans(counts) for counts in shape_a]
+    by_parent_b = [[(0, 1)]] + [_spans(counts) for counts in shape_b]
+    sizes_a = [len(counts) for counts in shape_a]
+    sizes_b = [len(counts) for counts in shape_b]
     P = [abs(sizes_a[i] - sizes_b[i]) for i in range(k)]
     P[0] = 0  # both trees have exactly one root
 
@@ -357,17 +357,16 @@ def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
     moved_at = [1 << (_OP_BITS * i) for i in range(k)]
     reinserted_at = [1 << (_OP_BITS * (k + i)) for i in range(k)]
 
-    # states: dedup key -> (accumulated cost, lab_a, lab_b, m_raw history,
-    # packed operation counts, per-node prices (price_a, price_b) or None)
+    # states: the collections both sides hand up -> (accumulated cost, lab_a,
+    # lab_b, m_raw history, packed operation counts, per-node prices
+    # (price_a, price_b) or None)
     states: dict = {((), ()): (0, [], [], (), 0, None)}
     p_below = 0
     for i in range(k - 1, -1, -1):
         na, nb = sizes_a[i], sizes_b[i]
         n = max(na, nb)
-        children_a = t1.children_lists(i) if i < t1.depth else []
-        children_b = t2.children_lists(i) if i < t2.depth else []
         # no node of either level has children: a zero matrix, identity match
-        leaves = not any(children_a) and not any(children_b)
+        leaves = not any(shape_a[i]) and not any(shape_b[i])
         # level i + 1 nodes carry prices when the level above may reinsert them
         priced = i > 0 and reinsert[i - 1]
         # at a reinsert level the side with fewer children pays for the
@@ -399,10 +398,13 @@ def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
                 price_b[y] = p
             return price_a, price_b
 
-        for acc, lab_a, lab_b, m_hist, ops, prices in sorted(states.values(),
-                                                            key=lambda s: s[0]):
-            cols_a = _collections(children_a, lab_a, n)
-            cols_b = _collections(children_b, lab_b, n)
+        for (cols_a, cols_b), (acc, lab_a, lab_b, m_hist, ops, prices) in sorted(
+                states.items(), key=lambda s: s[1][0]):
+            if reinsert[i]:   # the key pairs each child label with its price
+                cols_a = tuple(tuple(l for l, _ in c) for c in cols_a)
+                cols_b = tuple(tuple(l for l, _ in c) for c in cols_b)
+            cols_a += ((),) * (n - len(cols_a))
+            cols_b += ((),) * (n - len(cols_b))
             if leaves:
                 cur_a = cur_b = [0] * n
                 m_i, f = 0, list(range(n))
@@ -411,10 +413,10 @@ def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
                 cur_a, cur_b = labels[:n], labels[n:]
                 if reinsert[i]:
                     if a_pays:
-                        groups = _children_by_label(children_a, lab_a, prices[0], n)
+                        groups = _children_by_label(by_parent_a[i + 1], lab_a, prices[0], n)
                         W = _reinsert_weights(groups, cols_b, n, dtype)
                     else:
-                        groups = _children_by_label(children_b, lab_b, prices[1], n)
+                        groups = _children_by_label(by_parent_b[i + 1], lab_b, prices[1], n)
                         W = _reinsert_weights(groups, cols_a, n, dtype).T
                     splits: dict = {}
                 else:
@@ -465,8 +467,8 @@ def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
                 next_a, next_b = (got, cur_b) if a_receives else (cur_a, got)
                 new_prices = priced_pairs(pair_a, kept) if priced else None
                 price_a, price_b = new_prices or (None, None)
-                key = (_reconciled_key(t1, i, next_a, price_a),
-                       _reconciled_key(t2, i, next_b, price_b))
+                key = (_handed_up(by_parent_a[i], next_a, price_a),
+                       _handed_up(by_parent_b[i], next_b, price_b))
                 old = nxt.get(key)
                 if old is None or acc + cost < old[0]:
                     nxt[key] = (acc + cost, next_a, next_b, (m_raw,) + m_hist,

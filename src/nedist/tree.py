@@ -23,8 +23,7 @@ class TreeNode:
 class LevelTree:
     levels: list[list[TreeNode]]
     _canon: str | None = field(default=None, repr=False, compare=False)
-    # set once the levels are known to be in canonical level order
-    _ordered: bool = field(default=False, repr=False, compare=False)
+    _shape: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def depth(self) -> int:
@@ -197,24 +196,17 @@ def to_tree_literal(t: LevelTree) -> str:
     return _ahu(t)[0]
 
 
-def canonical_form(t: LevelTree) -> tuple[str, LevelTree]:
-    """The AHU literal of ``t`` and ``t`` in canonical level order, the layout
-    ``parse_tree_literal`` gives that literal; isomorphic trees get equal
-    literals and equal level orders.  Node ids move with their nodes, and a
-    tree already in canonical order is returned as is."""
-    if t._ordered:
-        return t._canon, t
-    literal, ordered = _ahu(t)
-    t._canon = literal
-    orders = [[0]]   # per level, the old node indices in canonical order
-    for kids in ordered[:-1]:
-        orders.append([c for q in orders[-1] for c in kids[q]])
-    if all(j == c for order in orders for j, c in enumerate(order)):
-        t._ordered = True
-        return literal, t
-    levels = [[TreeNode(None, t.levels[0][0].node_id)]]
-    for i in range(1, t.depth):
-        src = t.levels[i]
-        levels.append([TreeNode(p, src[c].node_id)
-                       for p, q in enumerate(orders[i - 1]) for c in ordered[i - 1][q]])
-    return literal, LevelTree(levels, _canon=literal, _ordered=True)
+def canonical_form(t: LevelTree) -> tuple[str, tuple[tuple[int, ...], ...]]:
+    """The AHU literal of ``t`` and its shape: per level, the child counts of
+    its nodes in canonical level order (the order ``parse_tree_literal`` gives
+    the literal, where each node's children follow its left siblings'
+    children).  Isomorphic trees get equal values; both are memoized on ``t``."""
+    if t._shape is None:
+        t._canon, ordered = _ahu(t)
+        shape = []
+        order = [0]   # the level's node indices in canonical order
+        for kids in ordered:
+            shape.append(tuple(len(kids[q]) for q in order))
+            order = [c for q in order for c in kids[q]]
+        t._shape = tuple(shape)
+    return t._canon, t._shape

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+import nedist.tree as tree_module
 from nedist.cli import run
 from nedist.experiments import random_graph, random_tree
 from nedist.graph import build_graph
@@ -66,28 +67,47 @@ def tree_pairs(seed: int, count: int):
                random_tree(rng.randint(10, 60), depth, rng), rng)
 
 
-def parents(t: LevelTree):
-    return [[node.parent for node in level] for level in t.levels]
+def child_counts(t: LevelTree):
+    return tuple(tuple(map(len, t.children_lists(i))) for i in range(t.depth))
 
 
 def test_canonical_form_is_the_reparsed_literal():
     for a, b, rng in tree_pairs(3, 300):
         for t in (a, rendering(b, rng)):
-            literal, ordered = canonical_form(t)
-            reparsed = parse_tree_literal(to_tree_literal(t))
+            literal, shape = canonical_form(t)
+            reparsed = parse_tree_literal(literal)
             assert literal == to_tree_literal(reparsed) == t.canonical_literal()
-            assert parents(ordered) == parents(reparsed)
-            assert canonical_form(ordered) == (literal, ordered)
+            assert shape == child_counts(reparsed)
+            assert canonical_form(rendering(t, rng)) == (literal, shape)
 
 
-def test_canonical_form_keeps_an_ordered_tree_and_moves_node_ids():
-    t = parse_tree_literal("(()(()))")
-    assert canonical_form(t)[1] is t
+@pytest.fixture
+def ahu_calls(monkeypatch):
+    """The trees the canonical pass ``tree._ahu`` runs on, one per call."""
+    calls = []
+    ahu = tree_module._ahu
+    monkeypatch.setattr(tree_module, "_ahu", lambda t: calls.append(t) or ahu(t))
+    return calls
+
+
+def test_canonical_form_is_memoized_and_leaves_the_tree_as_it_is(ahu_calls):
     t = LevelTree([[TreeNode(None, "r")], [TreeNode(0, "x"), TreeNode(0, "y")],
                    [TreeNode(0, "z")]])
-    _, ordered = canonical_form(t)
-    assert [[(n.parent, n.node_id) for n in level] for level in ordered.levels] == [
-        [(None, "r")], [(0, "y"), (0, "x")], [(1, "z")]]
+    literal, shape = canonical_form(t)
+    assert (literal, shape) == ("(()(()))", ((2,), (0, 1), (0,)))
+    assert canonical_form(t)[1] is shape
+    assert len(ahu_calls) == 1
+    assert [[(n.parent, n.node_id) for n in level] for level in t.levels] == [
+        [(None, "r")], [(0, "x"), (0, "y")], [(0, "z")]]
+
+
+def test_ted_star_canonizes_each_tree_once(ahu_calls):
+    (a, b, rng), = tree_pairs(5, 1)
+    a, b = rendering(a, rng), rendering(b, rng)
+    for w in (UNIT, W_PLUS, UNIT):
+        ted_star(a, b, w)
+        ted_star(b, a, w)
+    assert len(ahu_calls) == 2
 
 
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))

@@ -84,6 +84,7 @@ def test_knn_wplus(tmp_path, capsys):
 def test_graphdist(graph_file, capsys):
     assert run(["graphdist", graph_file, graph_file, "--k", "3"]) == 0
     assert capsys.readouterr().out == "0\n"
+    assert run(["graphdist", graph_file, graph_file, "--k", "3", "--sample", "0"]) == 1
 
 
 def test_oracle_compare_csv(capsys):
@@ -103,6 +104,14 @@ def test_deanon(graph_file, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "precision 1.0000" in out
+    assert run(["deanon", "--graph", graph_file, "--k", "2", "-l", "2",
+                "--sample", "0"]) == 1
+
+
+def test_study_k_effect_rejects_zero_queries(capsys):
+    assert run(["study", "k-effect", "--nodes", "10", "--edges", "15",
+                "--queries", "0"]) == 1
+    assert "num_queries" in capsys.readouterr().err
 
 
 def test_study_ted_closeness(capsys):

@@ -116,6 +116,20 @@ def test_deanonymize_sampling_and_determinism():
     assert r1.sample_size == 15
     assert [(x.anon_node, x.rank, x.hit) for x in r1.rows] == \
         [(x.anon_node, x.rank, x.hit) for x in r2.rows]
+    for bad in (0, -1):
+        with pytest.raises(UsageError):
+            deanonymize(g, anon, truth, k=2, l=3, sample_size=bad)
+
+
+def test_deanonymize_checks_its_truth_map():
+    g = random_graph(20, 40, seed=10)
+    anon, truth = anonymize(g, AnonymizationSpec("naive", seed=11))
+    missing = dict(truth)
+    del missing[anon.labels[0]]
+    stranger = dict(truth, **{anon.labels[0]: "not-a-node"})
+    for bad in (missing, stranger):
+        with pytest.raises(UsageError):
+            deanonymize(g, anon, bad, k=2, l=3)
 
 
 def test_deanonymize_takes_its_scheme_from_the_cache():
@@ -164,6 +178,9 @@ def test_k_effect_counts():
     g1 = random_graph(25, 50, seed=13)
     g2 = random_graph(25, 50, seed=14)
     rows = k_effect_study(g1, g2, num_queries=8, k_range=range(1, 4), l=3, seed=0)
+    for bad in (0, -1):
+        with pytest.raises(UsageError):
+            k_effect_study(g1, g2, num_queries=bad)
     assert rows[0]["k"] == 1
     assert rows[0]["mean_nn0"] == g2.n   # depth-1 trees are all identical
     nn0 = [r["mean_nn0"] for r in rows]

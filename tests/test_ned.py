@@ -94,6 +94,9 @@ def test_hausdorff_sampling_deterministic():
     runs = {hausdorff_graph_distance(g1, g2, 2, sample=3, seed=42)
             for _ in range(4)}
     assert len(runs) == 1
+    for bad in (0, -1):
+        with pytest.raises(UsageError):
+            hausdorff_graph_distance(g1, g2, 2, sample=bad)
 
 
 def test_hausdorff_takes_its_scheme_from_the_cache():

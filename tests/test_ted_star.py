@@ -157,6 +157,17 @@ def test_weight_scheme_rejects_nonpositive():
         WeightScheme(leaf=object())
 
 
+def test_weight_scheme_rejects_nan_and_non_real_weights():
+    nan = float("nan")
+    for bad in (nan, 1j, "2", None):
+        with pytest.raises(UsageError):
+            WeightScheme(leaf={2: bad})
+        with pytest.raises(UsageError):
+            WeightScheme(move=lambda level: bad).move_cost(1)
+    with pytest.raises(UsageError):
+        ted_star(P("(()())"), P("((()))"), WeightScheme(move=lambda level: nan))
+
+
 def test_wplus_scales_moves_by_level():
     assert W_PLUS.move_cost(3) == 12
     assert W_PLUS.leaf_cost(3) == 1
