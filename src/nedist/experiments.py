@@ -224,6 +224,8 @@ def deanonymize(train: Graph, anon: Graph, truth: dict, k: int, l: int,
         raise UsageError(f"unknown tie policy {tie_policy!r}")
     if train.directed != anon.directed:
         raise UsageError("train and anonymous graphs must share directedness")
+    if train.n == 0 or anon.n == 0:
+        raise UsageError("de-anonymization is undefined for an empty graph")
     if method == "ned":
         distance = signature_distance(train.directed, (cache or TreeDistanceCache()).distance)
 
@@ -352,6 +354,8 @@ def k_effect_study(g1: Graph, g2: Graph, num_queries: int, k_range=range(1, 7),
         raise UsageError("k_effect_study expects undirected graphs")
     if num_queries < 1:
         raise UsageError("num_queries must be >= 1")
+    if g1.n == 0 or g2.n == 0:
+        raise UsageError("k_effect_study is undefined for an empty graph")
     rng = random.Random(seed)
     queries = (sorted(rng.sample(range(g1.n), num_queries))
                if num_queries < g1.n else list(range(g1.n)))

@@ -6,7 +6,9 @@ canonical labels to the combined level from the children's current labels,
 build the complete bipartite matrix of counted-multiset symmetric
 differences, solve the minimum-cost matching, convert the matching value to
 a move count, and relabel the padded side through the matching bijection so
-the parent level compares reconciled child labels.
+the parent level compares reconciled child labels.  The steps stop at level
+2: each tree has one root, so the root's row is written down, with level
+2's padding as its matching value and nothing moved or reinserted.
 
 Edit operations and their prices under a WeightScheme (levels are 1-based,
 the root is level 1): inserting or deleting a leaf at level L costs
@@ -342,13 +344,12 @@ def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
     k = max(len(shape_a), len(shape_b))
     shape_a += ((),) * (k - len(shape_a))   # no nodes below a tree's depth
     shape_b += ((),) * (k - len(shape_b))
-    # per level, the nodes of each parent as an index range (the root alone)
-    by_parent_a = [[(0, 1)]] + [_spans(counts) for counts in shape_a]
-    by_parent_b = [[(0, 1)]] + [_spans(counts) for counts in shape_b]
+    # spans_a[i]: each level-i node's children, as an index range one level down
+    spans_a = [_spans(counts) for counts in shape_a]
+    spans_b = [_spans(counts) for counts in shape_b]
     sizes_a = [len(counts) for counts in shape_a]
     sizes_b = [len(counts) for counts in shape_b]
     P = [abs(sizes_a[i] - sizes_b[i]) for i in range(k)]
-    P[0] = 0  # both trees have exactly one root
 
     leaf, move, dtype = _search_costs(weights, k)
     # reinsert[i]: at the matching of level i + 1 some re-parented child may
@@ -362,13 +363,13 @@ def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
     # (price_a, price_b) or None)
     states: dict = {((), ()): (0, [], [], (), 0, None)}
     p_below = 0
-    for i in range(k - 1, -1, -1):
+    for i in range(k - 1, 0, -1):
         na, nb = sizes_a[i], sizes_b[i]
         n = max(na, nb)
         # no node of either level has children: a zero matrix, identity match
         leaves = not any(shape_a[i]) and not any(shape_b[i])
         # level i + 1 nodes carry prices when the level above may reinsert them
-        priced = i > 0 and reinsert[i - 1]
+        priced = reinsert[i - 1]
         # at a reinsert level the side with fewer children pays for the
         # children that its partner cannot keep, each at its own price; none
         # of them is padding, whose place among equal labels is not fixed
@@ -413,10 +414,10 @@ def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
                 cur_a, cur_b = labels[:n], labels[n:]
                 if reinsert[i]:
                     if a_pays:
-                        groups = _children_by_label(by_parent_a[i + 1], lab_a, prices[0], n)
+                        groups = _children_by_label(spans_a[i], lab_a, prices[0], n)
                         W = _reinsert_weights(groups, cols_b, n, dtype)
                     else:
-                        groups = _children_by_label(by_parent_b[i + 1], lab_b, prices[1], n)
+                        groups = _children_by_label(spans_b[i], lab_b, prices[1], n)
                         W = _reinsert_weights(groups, cols_a, n, dtype).T
                     splits: dict = {}
                 else:
@@ -467,8 +468,8 @@ def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
                 next_a, next_b = (got, cur_b) if a_receives else (cur_a, got)
                 new_prices = priced_pairs(pair_a, kept) if priced else None
                 price_a, price_b = new_prices or (None, None)
-                key = (_handed_up(by_parent_a[i], next_a, price_a),
-                       _handed_up(by_parent_b[i], next_b, price_b))
+                key = (_handed_up(spans_a[i - 1], next_a, price_a),
+                       _handed_up(spans_b[i - 1], next_b, price_b))
                 old = nxt.get(key)
                 if old is None or acc + cost < old[0]:
                     nxt[key] = (acc + cost, next_a, next_b, (m_raw,) + m_hist,
@@ -490,6 +491,9 @@ def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
         states = nxt
         p_below = P[i]
 
+    # the root row: level 2's receivers took distinct donors' labels, so the
+    # roots' collections differ by the padding below.  Nothing moves, a paying
+    # root keeps every child, and a root step would keep the first cheapest state
     best = min(states.values(), key=lambda s: s[0])
     mask = (1 << _OP_BITS) - 1
     counts = [best[4] >> (_OP_BITS * x) & mask for x in range(2 * k)]
@@ -505,7 +509,7 @@ def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
             total += 2 * weights.leaf_cost(i + 1) * reinserted[i]
     if swapped:
         sizes_a, sizes_b = sizes_b, sizes_a
-    return total, CostBreakdown(sizes_a, sizes_b, P, list(best[3]), moves,
+    return total, CostBreakdown(sizes_a, sizes_b, P, [p_below, *best[3]], moves,
                                 reinserted, total)
 
 

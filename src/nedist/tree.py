@@ -33,15 +33,6 @@ class LevelTree:
     def size(self) -> int:
         return sum(len(lv) for lv in self.levels)
 
-    def children_lists(self, level: int) -> list[list[int]]:
-        """For each node of ``level`` (0-based), its child indices one level down."""
-        out: list[list[int]] = [[] for _ in self.levels[level]]
-        if level + 1 < len(self.levels):
-            for ci, node in enumerate(self.levels[level + 1]):
-                if node.parent is not None:
-                    out[node.parent].append(ci)
-        return out
-
     def validate(self) -> None:
         if not self.levels or len(self.levels[0]) != 1 or self.levels[0][0].parent is not None:
             raise UsageError("level 1 must contain exactly the parentless root")
@@ -56,12 +47,6 @@ class LevelTree:
         if self._canon is None:
             self._canon = to_tree_literal(self)
         return self._canon
-
-    def truncated(self, k: int) -> "LevelTree":
-        """Top-k-level subtree (a copy sharing node records)."""
-        if k >= self.depth:
-            return self
-        return LevelTree([list(lv) for lv in self.levels[:k]])
 
 
 def _refine_colors(nodes: list[int], depth_of: dict[int, int], neigh) -> dict[int, int]:
@@ -90,8 +75,11 @@ def extract_k_adjacent_tree(g: Graph, root, k: int, mode: str = "undirected") ->
 
     Level sets come from plain breadth-first search.  A node reachable from
     several previous-level nodes is attached to the candidate parent with
-    the smallest structure-derived color, so relabeling a graph yields an
-    isomorphic tree; node ordering within a level follows the same colors.
+    the smallest structure-derived color, ties to the smallest internal node
+    index, so relabeling a graph can change the tree: in the circulant graph
+    C10(1,3), node 0 and its image under a shuffled relabeling get trees at
+    TED* 2 for k = 4 (ROADMAP.md, "k-adjacent trees that do not depend on
+    node order").  Node ordering within a level follows the same colors.
     Trailing levels are absent when BFS exhausts the graph before depth k.
     """
     if k < 1:
@@ -183,9 +171,9 @@ def _ahu(t: LevelTree) -> tuple[str, list[list[list[int]]]]:
     ordered: list[list[list[int]]] = [[] for _ in range(t.depth)]
     for i in range(t.depth - 1, -1, -1):
         key = [_literal_key(s) for s in below]
-        kids_by_node = t.children_lists(i)
-        for kids in kids_by_node:
-            kids.sort(key=key.__getitem__)
+        kids_by_node: list[list[int]] = [[] for _ in t.levels[i]]
+        for c in sorted(range(len(below)), key=key.__getitem__):
+            kids_by_node[t.levels[i + 1][c].parent].append(c)
         ordered[i] = kids_by_node
         below = ["(" + "".join([below[c] for c in kids]) + ")" for kids in kids_by_node]
     return below[0], ordered

@@ -40,9 +40,18 @@ def rendering(t: LevelTree, rng: random.Random) -> LevelTree:
     return LevelTree(levels)
 
 
+def children_lists(t: LevelTree) -> list[list[list[int]]]:
+    """Per level, each node's child indices one level down."""
+    out = [[[] for _ in level] for level in t.levels]
+    for i, level in enumerate(t.levels[1:]):
+        for c, node in enumerate(level):
+            out[i][node.parent].append(c)
+    return out
+
+
 def shuffled_literal(t: LevelTree, rng: random.Random) -> str:
     """A literal of ``t`` with every node's children written in a random order."""
-    children = [t.children_lists(i) for i in range(t.depth)]
+    children = children_lists(t)
     out = []
     stack = [(0, 0)]
     while stack:
@@ -68,7 +77,7 @@ def tree_pairs(seed: int, count: int):
 
 
 def child_counts(t: LevelTree):
-    return tuple(tuple(map(len, t.children_lists(i))) for i in range(t.depth))
+    return tuple(tuple(map(len, kids)) for kids in children_lists(t))
 
 
 def test_canonical_form_is_the_reparsed_literal():

@@ -119,6 +119,10 @@ def test_deanonymize_sampling_and_determinism():
     for bad in (0, -1):
         with pytest.raises(UsageError):
             deanonymize(g, anon, truth, k=2, l=3, sample_size=bad)
+    empty = parse_edge_list("")
+    for train, query in ((g, empty), (empty, anon)):
+        with pytest.raises(UsageError):
+            deanonymize(train, query, truth, k=2, l=1)
 
 
 def test_deanonymize_checks_its_truth_map():
@@ -181,6 +185,10 @@ def test_k_effect_counts():
     for bad in (0, -1):
         with pytest.raises(UsageError):
             k_effect_study(g1, g2, num_queries=bad)
+    empty = parse_edge_list("")
+    for a, b in ((empty, g2), (g1, empty)):
+        with pytest.raises(UsageError):
+            k_effect_study(a, b, num_queries=3)
     assert rows[0]["k"] == 1
     assert rows[0]["mean_nn0"] == g2.n   # depth-1 trees are all identical
     nn0 = [r["mean_nn0"] for r in rows]

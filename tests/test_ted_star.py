@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nedist.assignment import matching_with_duals
 from nedist.errors import UsageError
 from nedist.experiments import random_tree
 from nedist.ted import (
@@ -58,6 +59,28 @@ def test_weighted_breakdown_counts_reinsertion():
     assert br.matching_raw[1] == 2
 
 
+def assert_root_row(br):
+    """The root's row is level 2's padding, with nothing moved or reinserted."""
+    assert br.matching_raw[0] == (br.padding[1] if br.levels > 1 else 0)
+    assert br.matching[0] == br.reinserted[0] == 0
+
+
+def test_root_is_never_matched(monkeypatch):
+    calls = []
+
+    def counting(W):
+        calls.append(W.shape)
+        return matching_with_duals(W)
+
+    monkeypatch.setattr("nedist.ted.matching_with_duals", counting)
+    # depth 2: level 2 is all leaves, so nothing is solved
+    assert ted_star_distance_only(P("(()())"), P("(()()())")) == 1
+    assert calls == []
+    # depth 3: level 2 alone is solved
+    assert ted_star_distance_only(P("((()())())"), P("((())(()))")) == 1
+    assert calls == [(2, 2)]
+
+
 def test_weighted_breakdown_recomposes():
     rng = random.Random(6)
     schemes = [W_PLUS, WeightScheme.from_table([(1, 2, 5), (2, "1/2", 3), (3, 1, "7/3")])]
@@ -76,6 +99,7 @@ def test_weighted_breakdown_recomposes():
                 below = br.padding[i + 1] if i + 1 < br.levels else 0
                 assert br.matching_raw[i] >= below
                 assert (br.matching_raw[i] - below) % 2 == 0
+            assert_root_row(br)
 
 
 def test_identity_any_tree():
@@ -113,6 +137,7 @@ def test_breakdown_recomposes():
         for i in range(br.levels):
             assert br.matching_raw[i] >= 0
             assert br.matching[i] >= 0
+        assert_root_row(br)
 
 
 def test_depth_mismatch_charges_whole_levels():

@@ -99,15 +99,8 @@ def test_levels_and_children():
     t = parse_tree_literal("(()(()))")
     assert t.depth == 3
     assert [len(lv) for lv in t.levels] == [1, 2, 1]
-    assert t.children_lists(0) == [[0, 1]]
-    assert t.children_lists(1) in ([[], [0]], [[0], []])
-
-
-def test_truncated():
-    t = parse_tree_literal("((((()))))")
-    assert t.truncated(2).depth == 2
-    assert to_tree_literal(t.truncated(3)) == "((()))"
-    assert t.truncated(10) is t
+    assert [node.parent for node in t.levels[1]] == [0, 0]
+    assert [node.parent for node in t.levels[2]] in ([0], [1])
 
 
 def test_validate_rejects_bad_roots():
