@@ -10,6 +10,7 @@ makes downstream consumers fully deterministic.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -26,28 +27,22 @@ _SMALL_N = 24
 
 
 def _validate(matrix):
-    """The side of a square, non-empty matrix of finite non-negative numbers
-    (NaN is not one; an infinite row can leave no finite matching)."""
-    if isinstance(matrix, np.ndarray):
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
-            raise UsageError("cost matrix must be square and non-empty")
-        if not ((matrix >= 0) & (matrix < math.inf)).all():
-            raise UsageError("cost matrix entries must be finite non-negative numbers")
-        return matrix.shape[0]
+    """The side of a square, non-empty matrix of finite non-negative real
+    numbers (NaN is not one; an infinite row can leave no finite matching)."""
     try:
-        sides = [len(row) for row in matrix]
-    except TypeError:
+        a = np.asarray(matrix)
+    except ValueError:   # ragged rows
         raise UsageError("cost matrix must be a list of rows") from None
-    n = len(sides)
-    if n == 0:
-        raise UsageError("cost matrix must be non-empty")
-    if any(side != n for side in sides):
-        raise UsageError("cost matrix must be square")
-    for row in matrix:
-        for x in row:
-            if not 0 <= x < math.inf:
-                raise UsageError("cost matrix entries must be finite non-negative numbers")
-    return n
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise UsageError("cost matrix must be square and non-empty")
+    if a.dtype.kind in "biuf":
+        ok = ((a >= 0) & (a < math.inf)).all()
+    else:   # object entries (Fraction, large int) are checked one by one
+        ok = a.dtype.kind == "O" and all(
+            isinstance(x, numbers.Real) and 0 <= x < math.inf for x in a.flat)
+    if not ok:
+        raise UsageError("cost matrix entries must be finite non-negative real numbers")
+    return a.shape[0]
 
 
 def _hungarian(matrix, n):
@@ -201,6 +196,9 @@ def _solve(matrix, n: int):
         f, u, v = _hungarian(listed, n)
     else:
         W = np.asarray(matrix)
+        # scipy solves in float64, which holds integer sums exactly below 2 ** 53
+        if W.dtype.kind != "f" and int(W.max()) * n >= 2 ** 53:
+            raise UsageError("cost matrix entries too large for exact matching")
         f, u, v = _scipy_with_duals(W)
         listed = W.tolist()
     f = _lex_min_refine(listed, n, f, u, v)

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import numbers
+
 
 class NedistError(Exception):
     """Base class for all errors raised by this package."""
@@ -31,3 +33,10 @@ class TreeLiteralError(NedistError):
 
 class InvariantError(NedistError):
     """An internal invariant of the distance computation was violated."""
+
+
+def check_count(value, what: str):
+    """``value`` if it is an integer >= 1, else UsageError."""
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise UsageError(f"{what} must be an integer >= 1, got {value!r}")
+    return value

@@ -15,7 +15,7 @@ import time
 import warnings
 from dataclasses import dataclass
 
-from .errors import UsageError
+from .errors import UsageError, check_count
 from .graph import Graph, build_graph
 from .ned import TreeDistanceCache, signature, signature_distance, tree_for
 from .oracle import enumerate_trees, exact_unordered_ted
@@ -216,10 +216,9 @@ def deanonymize(train: Graph, anon: Graph, truth: dict, k: int, l: int,
     as inside the cutoff.  The ned ranker uses the weight scheme of
     ``cache`` (a new unit cache when None).
     """
-    if l < 1:
-        raise UsageError("l must be >= 1")
-    if sample_size is not None and sample_size < 1:
-        raise UsageError("sample_size must be >= 1")
+    check_count(l, "l")
+    if sample_size is not None:
+        check_count(sample_size, "sample_size")
     if tie_policy not in ("inclusive", "exclusive"):
         raise UsageError(f"unknown tie policy {tie_policy!r}")
     if train.directed != anon.directed:
@@ -352,8 +351,8 @@ def k_effect_study(g1: Graph, g2: Graph, num_queries: int, k_range=range(1, 7),
     """
     if g1.directed or g2.directed:
         raise UsageError("k_effect_study expects undirected graphs")
-    if num_queries < 1:
-        raise UsageError("num_queries must be >= 1")
+    check_count(num_queries, "num_queries")
+    check_count(l, "l")
     if g1.n == 0 or g2.n == 0:
         raise UsageError("k_effect_study is undefined for an empty graph")
     rng = random.Random(seed)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import UsageError
+from .errors import UsageError, check_count
 from .graph import Graph
 from .ted import UNIT, WeightScheme, ted_star_distance_only
 from .tree import LevelTree, extract_k_adjacent_tree
@@ -22,7 +22,7 @@ def tree_for(g: Graph, node, k: int, mode: str = "undirected") -> LevelTree:
     """Memoized neighborhood-tree extraction; semantically identical to
     calling extract_k_adjacent_tree directly."""
     v = g.resolve(node)
-    key = (v, k, mode)
+    key = (v, check_count(k, "k"), mode)
     t = g._tree_cache.get(key)
     if t is None:
         t = extract_k_adjacent_tree(g, v, k, mode)
@@ -122,8 +122,8 @@ def hausdorff_graph_distance(a: Graph, b: Graph, k: int,
         raise UsageError("graphs must both be directed or both undirected")
     if a.n == 0 or b.n == 0:
         raise UsageError("Hausdorff distance is undefined for an empty graph")
-    if sample is not None and sample < 1:
-        raise UsageError("sample must be >= 1")
+    if sample is not None:
+        check_count(sample, "sample")
 
     def pick(g: Graph, salt: int):
         nodes = range(g.n)

@@ -23,6 +23,9 @@ matrix prices each re-parented child bottom-up at
 ``min(move_cost(L), 2 * leaf_cost(L + 1) + the prices of the children it
 keeps)`` instead of counting it; at every other level the matrix is the
 plain symmetric difference, so unit-weight distances never take that path.
+There the side with fewer children pays, and one table (``_split_table``)
+prices what each paying node re-parents and keeps under each partner: the
+matrix and the state a matching reaches read its entries, the same numbers.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, Mapping
 
 import numpy as np
@@ -168,12 +172,13 @@ def build_bipartite_weights(collections_a, collections_b) -> np.ndarray:
 # and the relabeling they induce feeds the next level, so the level loop
 # explores cost-equal matchings and keeps the cheapest overall outcome.  The
 # padded side of a level receives the labels of the nodes it is matched to;
-# the exploration walks the perfect matchings of the tight edges (the edges
-# some optimum uses), depth first and receiver by receiver, and records each
-# new tuple of received labels.  Caps bound it: at most _TIE_VISIT_CAP
-# choices per level, _TIE_EMIT_CAP label tuples and _TIE_STATE_CAP states;
-# levels wider than _TIE_WIDTH take the single lexicographically smallest
-# optimum.
+# the exploration walks the perfect matchings of the edges tight under the
+# solver's duals (every edge some optimum uses, and maybe edges none uses, so
+# what gets recorded depends on the duals and so on assignment._SMALL_N),
+# depth first and receiver by receiver, and records each new tuple of
+# received labels.  Caps bound it: at most _TIE_VISIT_CAP choices per level,
+# _TIE_EMIT_CAP label tuples and _TIE_STATE_CAP states; levels wider than
+# _TIE_WIDTH take the single lexicographically smallest optimum.
 _TIE_WIDTH = 64
 _TIE_STATE_CAP = 8
 _TIE_VISIT_CAP = 300
@@ -269,53 +274,45 @@ def _search_costs(weights: WeightScheme, k: int):
     return leaf, move, np.int64
 
 
-def _children_by_label(spans, labels, prices, n: int):
-    """Per node: child label -> child prices, cheapest first."""
-    groups: list[dict] = []
+def _split_table(spans, labels, prices, partner_cols, dtype):
+    """(table, col_of, W): table[x][col_of[y]] is (moved count, moved price,
+    moved operations, kept price, kept operations) of paying node x's
+    children (``spans``, ``labels``, (price, operations) ``prices``) under
+    partner y: of each label, the cheapest that y's collection cannot keep
+    move.  W is the matrix of the moved prices; padded rows are zero."""
+    distinct: dict = {}
+    col_of = [distinct.setdefault(col, len(distinct)) for col in partner_cols]
+    counts: dict = {}   # label -> how many of it each distinct partner keeps
+    zero = [(0, 0, 0, 0, 0)] * len(distinct)   # no children: nothing moves or stays
+    rows: dict = {((), ()): zero}   # paying nodes with the same children share a row
+    table = []
     for s, e in spans:
-        g: dict = {}
-        for c in range(s, e):
-            g.setdefault(labels[c], []).append(prices[c])
-        for lst in g.values():
-            lst.sort(key=lambda p: p[0])
-        groups.append(g)
-    groups.extend({} for _ in range(n - len(groups)))
-    return groups
-
-
-def _reinsert_weights(groups, partner_cols, n: int, dtype) -> np.ndarray:
-    """Paying side x other side matrix: the price of the paying node's
-    children that the partner's collection cannot keep, taking the cheapest
-    of each label."""
-    labels = sorted({l for g in groups for l in g})
-    W = np.zeros((n, n), dtype=dtype)
-    rows = np.arange(n)[:, None]
-    for l in labels:
-        counts = np.array([len(g.get(l, ())) for g in groups])
-        kept = np.array([c.count(l) for c in partner_cols])
-        prefix = np.zeros((n, counts.max() + 1), dtype=dtype)
-        for r, g in enumerate(groups):
-            if l in g:
-                prefix[r, 1:counts[r] + 1] = list(accumulate(p[0] for p in g[l]))
-        W += prefix[rows, np.maximum(counts[:, None] - kept[None, :], 0)]
-    return W
-
-
-def _split_children(group: dict, partner_col) -> tuple:
-    """Re-parented and kept children of one paying node under one partner, as
-    (moved count, moved price, moved operations, kept price, kept operations)."""
-    moved = moved_e = moved_ops = kept_e = kept_ops = 0
-    for l, lst in group.items():
-        extra = len(lst) - partner_col.count(l)
-        for j, (e, ops) in enumerate(lst):
-            if j < extra:
-                moved += 1
-                moved_e += e
-                moved_ops += ops
-            else:
-                kept_e += e
-                kept_ops += ops
-    return moved, moved_e, moved_ops, kept_e, kept_ops
+        children = (tuple(labels[s:e]), tuple(prices[s:e]))
+        row = rows.get(children)
+        if row is None:
+            groups: dict = {}
+            for c in range(s, e):
+                groups.setdefault(labels[c], []).append(prices[c])
+            by_label = []
+            for l in sorted(groups):
+                if l not in counts:
+                    counts[l] = [col.count(l) for col in distinct]
+                # of the n children labeled l, the n - kept cheapest move under
+                # a partner that keeps `kept` of them (none if kept >= n)
+                e_l, ops_l = zip(*sorted(groups[l], key=itemgetter(0)))
+                e_sum = list(accumulate(e_l, initial=0))
+                ops_sum = list(accumulate(ops_l, initial=0))
+                n = len(e_l)
+                moves = [n - kept if kept < n else 0 for kept in counts[l]]
+                by_j = {j: (j, e_sum[j], ops_sum[j], e_sum[n] - e_sum[j], ops_sum[n] - ops_sum[j])
+                        for j in set(moves)}
+                by_label.append([by_j[j] for j in moves])
+            row = rows[children] = (by_label[0] if len(by_label) == 1 else
+                                    [tuple(map(sum, zip(*cell))) for cell in zip(*by_label)])
+        table.append(row)
+    table += [zero] * (len(partner_cols) - len(spans))
+    W = np.array([[cell[1] for cell in row] for row in table], dtype=dtype)[:, col_of]
+    return table, col_of, W
 
 
 def _check_matching(level: int, m: int, p_below: int) -> None:
@@ -355,6 +352,12 @@ def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
     # reinsert[i]: at the matching of level i + 1 some re-parented child may
     # be cheaper to delete and re-insert than to move
     reinsert = [i + 1 < k and move[i] > 2 * leaf[i + 1] for i in range(k)]
+    for i in range(1, k - 1):   # the levels the loop below matches
+        # a reinsert matrix entry, and a dual over it, stay within twice the
+        # paying side's children at their top price move[i]
+        if (reinsert[i] and dtype is np.int64
+                and 2 * min(sizes_a[i + 1], sizes_b[i + 1]) * move[i] >= 2 ** 63):
+            raise UsageError(f"weights too large for exact matching at level {i + 1}")
     moved_at = [1 << (_OP_BITS * i) for i in range(k)]
     reinserted_at = [1 << (_OP_BITS * (k + i)) for i in range(k)]
 
@@ -413,13 +416,10 @@ def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
                 labels = canonize_level(cols_a + cols_b)
                 cur_a, cur_b = labels[:n], labels[n:]
                 if reinsert[i]:
-                    if a_pays:
-                        groups = _children_by_label(spans_a[i], lab_a, prices[0], n)
-                        W = _reinsert_weights(groups, cols_b, n, dtype)
-                    else:
-                        groups = _children_by_label(spans_b[i], lab_b, prices[1], n)
-                        W = _reinsert_weights(groups, cols_a, n, dtype).T
-                    splits: dict = {}
+                    table, col_of, W = (
+                        _split_table(spans_a[i], lab_a, prices[0], cols_b, dtype) if a_pays
+                        else _split_table(spans_b[i], lab_b, prices[1], cols_a, dtype))
+                    W = W if a_pays else W.T   # rows a's nodes, columns b's
                 else:
                     W = build_bipartite_weights(cols_a, cols_b)
                 m_i, f, u, v = matching_with_duals(W)
@@ -438,13 +438,6 @@ def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
                 unit_step = (move[i] * M_i if M_i else 0, m_i, M_i * moved_at[i],
                              kept_by_moves)
 
-            def split(x, y):
-                key = (x, cols_b[y]) if a_pays else (y, cols_a[x])
-                got = splits.get(key)
-                if got is None:
-                    got = splits[key] = _split_children(groups[key[0]], key[1])
-                return got
-
             def advance(donors):
                 """Record the state reached by giving every receiver the label
                 of its donor."""
@@ -453,7 +446,8 @@ def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
                     # the paying side has no more children than the other, so
                     # the symmetric difference is the padding below plus twice
                     # the children it gives up
-                    parts = [split(x, y) for x, y in enumerate(pair_a)]
+                    parts = ([table[x][col_of[y]] for x, y in enumerate(pair_a)] if a_pays
+                             else [table[y][col_of[x]] for x, y in enumerate(pair_a)])
                     cost, m_raw, new_ops = 0, p_below, 0
                     for part in parts:
                         m_raw += 2 * part[0]

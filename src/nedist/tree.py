@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import TreeLiteralError, UsageError
+from .errors import TreeLiteralError, UsageError, check_count
 from .graph import Graph
 
 
@@ -82,8 +82,7 @@ def extract_k_adjacent_tree(g: Graph, root, k: int, mode: str = "undirected") ->
     node order").  Node ordering within a level follows the same colors.
     Trailing levels are absent when BFS exhausts the graph before depth k.
     """
-    if k < 1:
-        raise UsageError("k must be >= 1")
+    check_count(k, "k")
     root = g.resolve(root)
     depth_of = {root: 0}
     level_ids: list[list[int]] = [[root]]

@@ -9,10 +9,11 @@ distance resolve by ascending node index.
 from __future__ import annotations
 
 import heapq
+import numbers
 import random
 from dataclasses import dataclass
 
-from .errors import UsageError
+from .errors import UsageError, check_count
 from .graph import Graph
 from .ned import TreeDistanceCache, signature, signature_distance
 
@@ -81,8 +82,7 @@ class VpIndex:
         (label, distance) and evaluations counts distance computations this
         query performed.  l larger than the index returns everything.
         """
-        if l < 1:
-            raise UsageError("l must be >= 1")
+        check_count(l, "l")
         start = self.eval_count
         heap: list[tuple] = []   # max-heap via negated (distance, idx)
 
@@ -115,8 +115,8 @@ class VpIndex:
 
     def range_query(self, query, r):
         """All entries within distance r, ascending by (distance, node index)."""
-        if r < 0:
-            raise UsageError("radius must be >= 0")
+        if not (isinstance(r, numbers.Real) and r >= 0):
+            raise UsageError(f"radius must be a real number >= 0, got {r!r}")
         start = self.eval_count
         out = []
 

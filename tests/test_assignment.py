@@ -111,3 +111,18 @@ def test_input_validation():
         min_cost_perfect_matching([[float("inf")] * 2, [1, 0]])
     with pytest.raises(UsageError):
         min_cost_perfect_matching(np.full((30, 30), np.inf))
+    for not_real in ([["a"]], [[None]], [[1j]], np.array([["a"]]), np.array([[1 + 0j]])):
+        with pytest.raises(UsageError):
+            min_cost_perfect_matching(not_real)
+
+
+def test_integers_past_float64_exactness_are_usage_errors():
+    # above 24 rows scipy solves in float64, where integer sums stay exact
+    # only below 2 ** 53; the pure-Python solver below it is exact at any size
+    big = np.eye(25, dtype=np.int64) * 2 ** 49
+    with pytest.raises(UsageError):
+        min_cost_perfect_matching(big)
+    with pytest.raises(UsageError):
+        min_cost_perfect_matching((np.eye(25, dtype=object) * 2 ** 70).tolist())
+    assert min_cost_perfect_matching(big // 2)[0] == 0
+    assert min_cost_perfect_matching(big[:24, :24] * 2 ** 10)[0] == 0

@@ -116,9 +116,11 @@ def test_deanonymize_sampling_and_determinism():
     assert r1.sample_size == 15
     assert [(x.anon_node, x.rank, x.hit) for x in r1.rows] == \
         [(x.anon_node, x.rank, x.hit) for x in r2.rows]
-    for bad in (0, -1):
+    for bad in (0, -1, 2.5):
         with pytest.raises(UsageError):
             deanonymize(g, anon, truth, k=2, l=3, sample_size=bad)
+        with pytest.raises(UsageError):
+            deanonymize(g, anon, truth, k=2, l=bad)
     empty = parse_edge_list("")
     for train, query in ((g, empty), (empty, anon)):
         with pytest.raises(UsageError):
@@ -182,9 +184,11 @@ def test_k_effect_counts():
     g1 = random_graph(25, 50, seed=13)
     g2 = random_graph(25, 50, seed=14)
     rows = k_effect_study(g1, g2, num_queries=8, k_range=range(1, 4), l=3, seed=0)
-    for bad in (0, -1):
+    for bad in (0, -1, 2.5):
         with pytest.raises(UsageError):
             k_effect_study(g1, g2, num_queries=bad)
+        with pytest.raises(UsageError):
+            k_effect_study(g1, g2, num_queries=3, l=bad)
     empty = parse_edge_list("")
     for a, b in ((empty, g2), (g1, empty)):
         with pytest.raises(UsageError):

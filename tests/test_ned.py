@@ -36,6 +36,16 @@ def test_path_end_vs_center():
     assert ned(g, "a", g, "c", 2) == 1   # "(())" vs "(()())"
 
 
+def test_non_integer_k_is_a_usage_error():
+    g = parse_edge_list(PATH5)
+    tree_for(g, "a", 2)   # a cached k = 2 tree does not let k = 2.0 through
+    for bad in (2.0, 2.5, "2"):
+        with pytest.raises(UsageError):
+            tree_for(g, "a", bad)
+        with pytest.raises(UsageError):
+            ned(g, "a", g, "c", bad)
+
+
 def test_ned_rejects_directed():
     g = parse_edge_list("a b\n", directed=True)
     with pytest.raises(UsageError):
@@ -94,7 +104,7 @@ def test_hausdorff_sampling_deterministic():
     runs = {hausdorff_graph_distance(g1, g2, 2, sample=3, seed=42)
             for _ in range(4)}
     assert len(runs) == 1
-    for bad in (0, -1):
+    for bad in (0, -1, 2.5):
         with pytest.raises(UsageError):
             hausdorff_graph_distance(g1, g2, 2, sample=bad)
 

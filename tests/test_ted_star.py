@@ -193,6 +193,22 @@ def test_weight_scheme_rejects_nan_and_non_real_weights():
         ted_star(P("(()())"), P("((()))"), WeightScheme(move=lambda level: nan))
 
 
+def test_weights_past_the_exact_range_are_usage_errors():
+    with pytest.raises(UsageError):
+        ted_star(P("((()()()())())"), P("((())(()()()()))"),
+                 WeightScheme(leaf={3: 2 ** 61}, move={2: 2 ** 63 - 1}))
+    # the root is not matched, so its move price builds no matrix
+    assert ted_star_distance_only(P("(()())"), P("(()()())"),
+                                  WeightScheme(move={1: 2 ** 62})) == 1
+    # each of the paying side's surplus leaves is priced at 2 ** 50; the
+    # matching solves levels wider than 24 nodes in float64, exact below 2 ** 53
+    w = WeightScheme(leaf={3: 2 ** 49}, move={2: 2 ** 51})
+    assert ted_star_distance_only(P("(" + "(()())" * 5 + "()" * 5 + ")"),
+                                  P("(" + "(())" * 11 + ")"), w) == 11 * 2 ** 49 + 1
+    with pytest.raises(UsageError):
+        ted_star(P("(" + "(()())" * 15 + "()" * 15 + ")"), P("(" + "(())" * 31 + ")"), w)
+
+
 def test_wplus_scales_moves_by_level():
     assert W_PLUS.move_cost(3) == 12
     assert W_PLUS.leaf_cost(3) == 1
@@ -219,6 +235,39 @@ def test_pinned_values_beyond_oracle_horizon():
             digest.update(repr(ted_star(a, b, w)).encode())
     assert digest.hexdigest() == \
         "2c57e90090e389ebb7aa35c4cc2ae07c9a7e2eaf7814164192057977214e93d7"
+
+
+def test_pinned_float_weights_beyond_oracle_horizon():
+    # float prices round, so a change in the order the level search sums
+    # them in shows here first; depth >= 4 reaches this scheme's reinsert
+    # levels (move_cost(L) > 2 * leaf_cost(L + 1) from L = 3)
+    w = WeightScheme(leaf=lambda level: 0.1 * level + 0.07,
+                     move=lambda level: 0.3 * level + 0.11, name="float")
+    rng = random.Random(12)
+    pairs = [(random_tree(rng.randint(3, 100), rng.randint(4, 7), rng),
+              random_tree(rng.randint(3, 100), rng.randint(4, 7), rng))
+             for _ in range(120)]
+    digest = hashlib.sha256()
+    for a, b in pairs:
+        digest.update(repr(ted_star(a, b, w)).encode())
+    assert digest.hexdigest() == \
+        "b11d622fc1bf6e17b388361c29b976d3528a32a1ffa778e54714176ce8248db2"
+
+
+def test_pinned_wplus_scripts():
+    # among cost-equal scripts the breakdown reports the first cheapest state
+    # the level search met, so dropping states that cannot lower a total can
+    # still change it: pair 16 here reports another script of the same total
+    # 59 when level 2's tie search is skipped
+    rng = random.Random(1)
+    pairs = [(random_tree(rng.randint(3, 120), rng.randint(2, 7), rng),
+              random_tree(rng.randint(3, 120), rng.randint(2, 7), rng))
+             for _ in range(40)]
+    digest = hashlib.sha256()
+    for a, b in pairs:
+        digest.update(repr(ted_star(a, b, W_PLUS)).encode())
+    assert digest.hexdigest() == \
+        "0e9a70aaf49c50dd88fb4c5fdb9c271d5aa37538acdc8d0c2cd76aca56ca95dd"
 
 
 def test_ted_star_leaves_no_reference_cycles():

@@ -51,8 +51,9 @@ def test_extraction_stops_at_component_boundary():
 
 def test_extraction_k_validation():
     g = parse_edge_list(PATH5)
-    with pytest.raises(UsageError):
-        extract_k_adjacent_tree(g, "a", 0)
+    for bad in (0, 2.5, 2.0, "2"):
+        with pytest.raises(UsageError):
+            extract_k_adjacent_tree(g, "a", bad)
 
 
 def test_directed_extraction_modes():

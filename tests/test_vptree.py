@@ -83,6 +83,12 @@ def test_query_argument_validation():
         index.knn(0, 0)
     with pytest.raises(UsageError):
         index.range_query(0, -1)
+    for bad in (2.5, 2.0, "2"):
+        with pytest.raises(UsageError):
+            index.knn(0, bad)
+    for bad in (float("nan"), "1", None):
+        with pytest.raises(UsageError):
+            index.range_query(0, bad)
     with pytest.raises(UsageError):
         VpIndex([], int_metric)
 
@@ -108,6 +114,8 @@ def test_graph_index_round_trip():
     got, _ = index.knn(q, 5)
     assert got == index.linear_scan(q, l=5)
     assert got[0][1] == 0   # node 17 itself is indexed at distance zero
+    with pytest.raises(UsageError):
+        build_index(g, 1.5)
 
 
 def test_graph_index_directed():
