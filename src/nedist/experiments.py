@@ -225,14 +225,7 @@ def deanonymize(train: Graph, anon: Graph, truth: dict, k: int, l: int,
         raise UsageError("train and anonymous graphs must share directedness")
     if train.n == 0 or anon.n == 0:
         raise UsageError("de-anonymization is undefined for an empty graph")
-    if method == "ned":
-        distance = signature_distance(train.directed, (cache or TreeDistanceCache()).distance)
-
-        def dist(u, v):
-            return distance(signature(anon, u, k), signature(train, v, k))
-    elif method == "degree":
-        dist = _degree_distance_fn(train, anon)
-    else:
+    if method not in ("ned", "degree"):
         raise UsageError(f"unknown ranking method {method!r}")
 
     queries = list(range(anon.n))
@@ -242,9 +235,23 @@ def deanonymize(train: Graph, anon: Graph, truth: dict, k: int, l: int,
         if truth.get(anon.labels[u]) not in train.index:
             raise UsageError(f"truth map gives no training node for {anon.labels[u]!r}")
 
+    if method == "ned":
+        # each signature is looked up once per call, not once per pair
+        distance = signature_distance(train.directed, (cache or TreeDistanceCache()).distance)
+        train_sigs = [signature(train, v, k) for v in range(train.n)]
+
+        def distances(u):
+            s = signature(anon, u, k)
+            return [distance(s, t) for t in train_sigs]
+    else:
+        dist = _degree_distance_fn(train, anon)
+
+        def distances(u):
+            return [dist(u, v) for v in range(train.n)]
+
     rows = []
     for u in queries:
-        ranked = sorted((dist(u, v), train.labels[v]) for v in range(train.n))
+        ranked = sorted(zip(distances(u), train.labels))
         true_id = truth[anon.labels[u]]
         rank = next(i for i, (_, lab) in enumerate(ranked, start=1)
                     if lab == true_id)

@@ -26,6 +26,22 @@ plain symmetric difference, so unit-weight distances never take that path.
 There the side with fewer children pays, and one table (``_split_table``)
 prices what each paying node re-parents and keeps under each partner: the
 matrix and the state a matching reaches read its entries, the same numbers.
+
+At depth 3 or less the level search has a closed form, which ``ted_star``
+returns without a matrix, a solve or a tie search.  Level 3 holds only
+leaves, so its labels are all equal, and where level 2 may reinsert, each
+level-3 node carries the same price ``2 * leaf_cost(3)``.  Level 2's matrix
+is then g(c_x - c_y) over the nodes' child counts, with g(t) = |t| or
+g(t) = 2 * leaf_cost(3) * max(0, t).  Both are convex in the difference,
+so the matrix is Monge on sorted counts and pairing the sorted counts (the
+shorter side padded with zeros) is optimal.  With D that pairing's L1
+distance and P_3 level 3's padding, every optimal matching re-parents the
+same M = (D - P_3) / 2 equally priced nodes, so every state the tie search
+could record has one total and one breakdown: M moves at level 2, or M
+re-insertions at level 3 where ``move_cost(2) > 2 * leaf_cost(3)``.  That
+takes a sort, O(n log n); deeper trees run the level search, whose
+matchings take O(n^3) per level.  With no matrix built, no weight is past
+the exact range at depth 3 or less.
 """
 
 from __future__ import annotations
@@ -341,17 +357,35 @@ def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
     k = max(len(shape_a), len(shape_b))
     shape_a += ((),) * (k - len(shape_a))   # no nodes below a tree's depth
     shape_b += ((),) * (k - len(shape_b))
-    # spans_a[i]: each level-i node's children, as an index range one level down
-    spans_a = [_spans(counts) for counts in shape_a]
-    spans_b = [_spans(counts) for counts in shape_b]
     sizes_a = [len(counts) for counts in shape_a]
     sizes_b = [len(counts) for counts in shape_b]
+    sizes = (sizes_b, sizes_a) if swapped else (sizes_a, sizes_b)
     P = [abs(sizes_a[i] - sizes_b[i]) for i in range(k)]
 
     leaf, move, dtype = _search_costs(weights, k)
     # reinsert[i]: at the matching of level i + 1 some re-parented child may
     # be cheaper to delete and re-insert than to move
     reinsert = [i + 1 < k and move[i] > 2 * leaf[i + 1] for i in range(k)]
+    if k <= 3:   # the closed form of the module docstring
+        moves, reinserted = [0] * k, [0] * k
+        D = 0   # L1 distance of level 2's sorted child counts, padded with zeros
+        if k == 3:
+            n = max(sizes_a[1], sizes_b[1])
+            counts_a = sorted(shape_a[1] + (0,) * (n - sizes_a[1]))
+            counts_b = sorted(shape_b[1] + (0,) * (n - sizes_b[1]))
+            D = sum(abs(x - y) for x, y in zip(counts_a, counts_b))
+            # every optimum re-parents as many level-3 nodes, each at one price
+            if reinsert[1]:
+                reinserted[2] = (D - P[2]) // 2
+            else:
+                moves[1] = (D - P[2]) // 2
+        # matching values: the root row's is level 2's padding, level 3 is all leaves
+        return _result(weights, sizes, P, [P[1] if k > 1 else 0, D, 0][:k],
+                       moves, reinserted)
+
+    # spans_a[i]: each level-i node's children, as an index range one level down
+    spans_a = [_spans(counts) for counts in shape_a]
+    spans_b = [_spans(counts) for counts in shape_b]
     for i in range(1, k - 1):   # the levels the loop below matches
         # a reinsert matrix entry, and a dual over it, stay within twice the
         # paying side's children at their top price move[i]
@@ -491,20 +525,22 @@ def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
     best = min(states.values(), key=lambda s: s[0])
     mask = (1 << _OP_BITS) - 1
     counts = [best[4] >> (_OP_BITS * x) & mask for x in range(2 * k)]
-    moves, reinserted = counts[:k], counts[k:]
+    return _result(weights, sizes, P, [p_below, *best[3]], counts[:k], counts[k:])
+
+
+def _result(weights: WeightScheme, sizes, P, matching_raw, moves, reinserted):
+    """The distance a script's per-level counts add up to under ``weights``,
+    and its breakdown; ``sizes`` are the two trees' level sizes."""
     total = 0
-    for i in range(k):
+    for i in range(len(P)):
         if P[i]:
             total += weights.leaf_cost(i + 1) * P[i]
-    for i in range(k):
+    for i in range(len(P)):
         if moves[i]:
             total += weights.move_cost(i + 1) * moves[i]
         if reinserted[i]:
             total += 2 * weights.leaf_cost(i + 1) * reinserted[i]
-    if swapped:
-        sizes_a, sizes_b = sizes_b, sizes_a
-    return total, CostBreakdown(sizes_a, sizes_b, P, [p_below, *best[3]], moves,
-                                reinserted, total)
+    return total, CostBreakdown(*sizes, P, matching_raw, moves, reinserted, total)
 
 
 def ted_star_distance_only(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):

@@ -144,12 +144,13 @@ def test_bad_weight_file(tmp_path):
 
 
 def test_weights_past_the_exact_range(tmp_path, capsys):
-    # a common denominator of 10 ** 19 scales level 2's move past int64
+    # a common denominator of 10 ** 19 scales level 3's move past int64
     wf = tmp_path / "w.txt"
-    wf.write_text("2 1 9\n3 1.0000000000000000001 1\n")
-    assert run(["dist", "--tree1", "((()()()())())", "--tree2", "((())(()()()()))",
+    wf.write_text("3 1 9\n4 1.0000000000000000001 1\n")
+    assert run(["dist", "--tree1", "(((()()()())()))", "--tree2", "(((())(()()()())))",
                 "--weights", str(wf)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err.startswith(
+        "error: weights too large for exact matching at level 3")
 
 
 def test_out_file(tmp_path, graph_file):

@@ -76,9 +76,12 @@ def test_root_is_never_matched(monkeypatch):
     # depth 2: level 2 is all leaves, so nothing is solved
     assert ted_star_distance_only(P("(()())"), P("(()()())")) == 1
     assert calls == []
-    # depth 3: level 2 alone is solved
+    # depth 3: the closed form, nothing is solved
     assert ted_star_distance_only(P("((()())())"), P("((())(()))")) == 1
-    assert calls == [(2, 2)]
+    assert calls == []
+    # depth 4: levels 3 and 2 are solved
+    assert ted_star_distance_only(P("(((())())(()))"), P("(((()))(()()))")) == 1
+    assert calls == [(3, 3), (2, 2)]
 
 
 def test_weighted_breakdown_recomposes():
@@ -195,18 +198,24 @@ def test_weight_scheme_rejects_nan_and_non_real_weights():
 
 def test_weights_past_the_exact_range_are_usage_errors():
     with pytest.raises(UsageError):
-        ted_star(P("((()()()())())"), P("((())(()()()()))"),
-                 WeightScheme(leaf={3: 2 ** 61}, move={2: 2 ** 63 - 1}))
+        ted_star(P("(((()()()())()))"), P("(((())(()()()())))"),
+                 WeightScheme(leaf={4: 2 ** 61}, move={3: 2 ** 63 - 1}))
+    # depth 3 builds no matrix, so the same trees one level up are exact
+    assert ted_star_distance_only(P("((()()()())())"), P("((())(()()()()))"),
+                                  WeightScheme(leaf={3: 2 ** 61}, move={2: 2 ** 63 - 1})) == 2 ** 61
     # the root is not matched, so its move price builds no matrix
     assert ted_star_distance_only(P("(()())"), P("(()()())"),
                                   WeightScheme(move={1: 2 ** 62})) == 1
     # each of the paying side's surplus leaves is priced at 2 ** 50; the
     # matching solves levels wider than 24 nodes in float64, exact below 2 ** 53
-    w = WeightScheme(leaf={3: 2 ** 49}, move={2: 2 ** 51})
-    assert ted_star_distance_only(P("(" + "(()())" * 5 + "()" * 5 + ")"),
-                                  P("(" + "(())" * 11 + ")"), w) == 11 * 2 ** 49 + 1
+    w = WeightScheme(leaf={4: 2 ** 49}, move={3: 2 ** 51})
+    assert ted_star_distance_only(P("((" + "(()())" * 5 + "()" * 5 + "))"),
+                                  P("((" + "(())" * 11 + "))"), w) == 11 * 2 ** 49 + 1
     with pytest.raises(UsageError):
-        ted_star(P("(" + "(()())" * 15 + "()" * 15 + ")"), P("(" + "(())" * 31 + ")"), w)
+        ted_star(P("((" + "(()())" * 15 + "()" * 15 + "))"), P("((" + "(())" * 31 + "))"), w)
+    w = WeightScheme(leaf={3: 2 ** 49}, move={2: 2 ** 51})
+    assert ted_star_distance_only(P("(" + "(()())" * 15 + "()" * 15 + ")"),
+                                  P("(" + "(())" * 31 + ")"), w) == 31 * 2 ** 49 + 1
 
 
 def test_wplus_scales_moves_by_level():
@@ -268,6 +277,27 @@ def test_pinned_wplus_scripts():
         digest.update(repr(ted_star(a, b, W_PLUS)).encode())
     assert digest.hexdigest() == \
         "0e9a70aaf49c50dd88fb4c5fdb9c271d5aa37538acdc8d0c2cd76aca56ca95dd"
+
+
+def test_pinned_depth_three_scripts():
+    # depth <= 3 under schemes on both sides of move_cost(2) = 2 * leaf_cost(3),
+    # where level 2 may or may not reinsert, with level 2 often wider than
+    # the pure-Python solver's range: (total, breakdown) pinned by digest
+    schemes = [UNIT, W_PLUS, criterion_1_random_scheme(),
+               WeightScheme(leaf=lambda level: 0.1 * level + 0.07,
+                            move=lambda level: 0.3 * level + 0.11, name="float"),
+               WeightScheme(leaf={3: 3}, move={2: 6}, name="move2-at-reinsert"),
+               WeightScheme(leaf={2: 2, 3: 5}, move={1: 3, 2: 7}, name="move2-below")]
+    rng = random.Random(16)
+    pairs = [(random_tree(rng.randint(1, 300), rng.randint(2, 3), rng),
+              random_tree(rng.randint(1, 300), rng.randint(2, 3), rng))
+             for _ in range(300)]
+    digest = hashlib.sha256()
+    for w in schemes:
+        for a, b in pairs:
+            digest.update(repr(ted_star(a, b, w)).encode())
+    assert digest.hexdigest() == \
+        "eb4596433f7207f802faf0e5ea2bacfa35ead8952467bad3df4bb6ceea0702ff"
 
 
 def test_ted_star_leaves_no_reference_cycles():
