@@ -322,6 +322,7 @@ def scaling_study(sizes=(50, 100, 200, 500), ks=(3,), pairs_per_bucket: int = 5,
     trees of depth k look.  Columns: size, k, pairs, median_ms, p90_ms,
     mean_ms.
     """
+    check_count(pairs_per_bucket, "pairs_per_bucket")
     rng = random.Random(seed)
     rows = []
     for k in ks:

@@ -3,12 +3,12 @@
 The distance between two level trees is computed bottom-up.  Per level the
 steps are: pad the smaller level with parentless placeholder nodes, assign
 canonical labels to the combined level from the children's current labels,
-build the complete bipartite matrix of counted-multiset symmetric
-differences, solve the minimum-cost matching, convert the matching value to
-a move count, and relabel the padded side through the matching bijection so
-the parent level compares reconciled child labels.  The steps stop at level
-2: each tree has one root, so the root's row is written down, with level
-2's padding as its matching value and nothing moved or reinserted.
+price what each node of one side re-parents under each node of the other,
+solve the minimum-cost matching, and relabel the padded side through the
+matching bijection so the parent level compares reconciled child labels.
+The steps stop at level 2: each tree has one root, so the root's row is
+written down, with level 2's padding as its matching value and nothing
+moved or reinserted.
 
 Edit operations and their prices under a WeightScheme (levels are 1-based,
 the root is level 1): inserting or deleting a leaf at level L costs
@@ -23,9 +23,13 @@ matrix prices each re-parented child bottom-up at
 ``min(move_cost(L), 2 * leaf_cost(L + 1) + the prices of the children it
 keeps)`` instead of counting it; at every other level the matrix is the
 plain symmetric difference, so unit-weight distances never take that path.
-There the side with fewer children pays, and one table (``_split_table``)
-prices what each paying node re-parents and keeps under each partner: the
-matrix and the state a matching reaches read its entries, the same numbers.
+One table (``_split_table``) prices every matched level: the side with
+fewer children pays, and the table holds what each paying node x
+re-parents and keeps under each partner y.  The matrix and the state a
+matching reaches read its entries, the same numbers.  Where nothing is
+reinserted each child is priced one, so x moves |x| minus the overlap of
+the two collections, and the matrix entry 2 * moved + |y| - |x| is the
+counted symmetric difference |x| + |y| - 2 * overlap exactly.
 
 At depth 3 or less the level search has a closed form, which ``ted_star``
 returns without a matrix, a solve or a tie search.  Level 3 holds only
@@ -156,34 +160,6 @@ def canonize_level(children_collections) -> list[int]:
     return [label[c] for c in children_collections]
 
 
-def build_bipartite_weights(collections_a, collections_b) -> np.ndarray:
-    """Complete matrix of counted-multiset symmetric-difference sizes.
-
-    Padded nodes (and leaves) contribute the empty collection.  Collections
-    must be sorted tuples over a shared label space.
-    """
-    na, nb = len(collections_a), len(collections_b)
-    labels = sorted({l for c in collections_a for l in c}
-                    | {l for c in collections_b for l in c})
-    if not labels:
-        return np.zeros((na, nb), dtype=np.int64)
-    col = {l: i for i, l in enumerate(labels)}
-    A = np.zeros((na, len(labels)), dtype=np.int64)
-    B = np.zeros((nb, len(labels)), dtype=np.int64)
-    for i, c in enumerate(collections_a):
-        for l in c:
-            A[i, col[l]] += 1
-    for i, c in enumerate(collections_b):
-        for l in c:
-            B[i, col[l]] += 1
-    overlap = np.zeros((na, nb), dtype=np.int64)
-    for li in range(len(labels)):
-        overlap += np.minimum.outer(A[:, li], B[:, li])
-    sizes_a = A.sum(axis=1)
-    sizes_b = B.sum(axis=1)
-    return sizes_a[:, None] + sizes_b[None, :] - 2 * overlap
-
-
 # The minimum-cost matching at a level can have several optimal solutions,
 # and the relabeling they induce feeds the next level, so the level loop
 # explores cost-equal matchings and keeps the cheapest overall outcome.  The
@@ -272,15 +248,13 @@ def _inverse(perm) -> list[int]:
     return inv
 
 
-def _search_costs(weights: WeightScheme, k: int):
-    """Per-level leaf and move costs (index 0 is level 1) on one exact scale,
-    with the dtype of the matrices they enter.
+def _search_costs(leaf, move):
+    """The per-level ``leaf`` and ``move`` costs (index 0 is level 1) on one
+    exact scale, with the dtype of the matrices they enter.
 
     Rational weights are multiplied by their common denominator so that the
     level matchings run on integer matrices; float weights stay floats.
     """
-    leaf = [weights.leaf_cost(level) for level in range(1, k + 1)]
-    move = [weights.move_cost(level) for level in range(1, k + 1)]
     if any(isinstance(w, float) for w in leaf + move):
         return leaf, move, float
     if not all(type(w) is int for w in leaf + move):
@@ -290,12 +264,12 @@ def _search_costs(weights: WeightScheme, k: int):
     return leaf, move, np.int64
 
 
-def _split_table(spans, labels, prices, partner_cols, dtype):
-    """(table, col_of, W): table[x][col_of[y]] is (moved count, moved price,
+def _split_table(spans, labels, prices, partner_cols):
+    """(table, col_of): table[x][col_of[y]] is (moved count, moved price,
     moved operations, kept price, kept operations) of paying node x's
     children (``spans``, ``labels``, (price, operations) ``prices``) under
     partner y: of each label, the cheapest that y's collection cannot keep
-    move.  W is the matrix of the moved prices; padded rows are zero."""
+    move.  Padded rows are zero."""
     distinct: dict = {}
     col_of = [distinct.setdefault(col, len(distinct)) for col in partner_cols]
     counts: dict = {}   # label -> how many of it each distinct partner keeps
@@ -319,24 +293,25 @@ def _split_table(spans, labels, prices, partner_cols, dtype):
                 e_sum = list(accumulate(e_l, initial=0))
                 ops_sum = list(accumulate(ops_l, initial=0))
                 n = len(e_l)
-                moves = [n - kept if kept < n else 0 for kept in counts[l]]
-                by_j = {j: (j, e_sum[j], ops_sum[j], e_sum[n] - e_sum[j], ops_sum[n] - ops_sum[j])
-                        for j in set(moves)}
-                by_label.append([by_j[j] for j in moves])
+                by_label.append([(j, e_sum[j], ops_sum[j], e_sum[n] - e_sum[j], ops_sum[n] - ops_sum[j])
+                                 for j in [n - kept if kept < n else 0 for kept in counts[l]]])
             row = rows[children] = (by_label[0] if len(by_label) == 1 else
                                     [tuple(map(sum, zip(*cell))) for cell in zip(*by_label)])
         table.append(row)
     table += [zero] * (len(partner_cols) - len(spans))
-    W = np.array([[cell[1] for cell in row] for row in table], dtype=dtype)[:, col_of]
-    return table, col_of, W
+    return table, col_of
 
 
-def _check_matching(level: int, m: int, p_below: int) -> None:
-    """A level's matching value is the padding one level down plus twice the
-    number of re-parented children."""
-    if m < p_below or (m - p_below) % 2 != 0:
-        raise InvariantError(
-            f"level {level}: matching value {m} incompatible with padding {p_below}")
+def build_bipartite_weights(table, col_of, dtype, partner_sizes=None) -> np.ndarray:
+    """A level's matrix from its split table, rows the paying nodes.  At a
+    reinsert level it is the moved prices, in ``dtype``.  Elsewhere every
+    child is priced one and ``partner_sizes`` gives each partner's |y|: the
+    matrix is the counted symmetric difference 2 * moved + |y| - |x|, which
+    is moved - kept + |y|, in int64."""
+    if partner_sizes is None:
+        return np.array([[cell[1] for cell in row] for row in table], dtype=dtype)[:, col_of]
+    W = np.array([[cell[0] - cell[3] for cell in row] for row in table], dtype=np.int64)
+    return W[:, col_of] + np.array(partner_sizes, dtype=np.int64)
 
 
 # Operation counts travel packed into one int: counter x (moves priced at
@@ -362,10 +337,12 @@ def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
     sizes = (sizes_b, sizes_a) if swapped else (sizes_a, sizes_b)
     P = [abs(sizes_a[i] - sizes_b[i]) for i in range(k)]
 
-    leaf, move, dtype = _search_costs(weights, k)
+    # the weights read once, index 0 is level 1; the level search scales them
+    leaf_w = [weights.leaf_cost(level) for level in range(1, k + 1)]
+    move_w = [weights.move_cost(level) for level in range(1, k + 1)]
     # reinsert[i]: at the matching of level i + 1 some re-parented child may
     # be cheaper to delete and re-insert than to move
-    reinsert = [i + 1 < k and move[i] > 2 * leaf[i + 1] for i in range(k)]
+    reinsert = [i + 1 < k and move_w[i] > 2 * leaf_w[i + 1] for i in range(k)]
     if k <= 3:   # the closed form of the module docstring
         moves, reinserted = [0] * k, [0] * k
         D = 0   # L1 distance of level 2's sorted child counts, padded with zeros
@@ -380,9 +357,10 @@ def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
             else:
                 moves[1] = (D - P[2]) // 2
         # matching values: the root row's is level 2's padding, level 3 is all leaves
-        return _result(weights, sizes, P, [P[1] if k > 1 else 0, D, 0][:k],
+        return _result(leaf_w, move_w, sizes, P, [P[1] if k > 1 else 0, D, 0][:k],
                        moves, reinserted)
 
+    leaf, move, dtype = _search_costs(leaf_w, move_w)
     # spans_a[i]: each level-i node's children, as an index range one level down
     spans_a = [_spans(counts) for counts in shape_a]
     spans_b = [_spans(counts) for counts in shape_b]
@@ -403,35 +381,41 @@ def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
     for i in range(k - 1, 0, -1):
         na, nb = sizes_a[i], sizes_b[i]
         n = max(na, nb)
-        # no node of either level has children: a zero matrix, identity match
-        leaves = not any(shape_a[i]) and not any(shape_b[i])
+        # level i + 2 sizes: how many children level i + 1 has on each side
+        kids_a, kids_b = sum(shape_a[i]), sum(shape_b[i])
+        leaves = not kids_a and not kids_b   # a zero matrix, identity match
         # level i + 1 nodes carry prices when the level above may reinsert them
         priced = reinsert[i - 1]
-        # at a reinsert level the side with fewer children pays for the
-        # children that its partner cannot keep, each at its own price; none
-        # of them is padding, whose place among equal labels is not fixed
-        a_pays = reinsert[i] and sizes_a[i + 1] < sizes_b[i + 1]
+        # one split table prices every matched level: the side with fewer
+        # children (b when the counts are equal) pays for the children its
+        # partner cannot keep, so none of them is padding, whose place among
+        # equal labels is not fixed.  At a reinsert level each child costs its
+        # own price.  Elsewhere each costs one in the table, the matrix is
+        # 2 * moved + |y| - |x| = |x| + |y| - 2 * overlap, the symmetric
+        # difference, and a table price times `scale` = move[i] is a cost
+        a_pays = kids_a < kids_b
+        scale = 1 if reinsert[i] else move[i]
+        unit_prices = [(1, moved_at[i])] * min(kids_a, kids_b)
         # the padded side (b when the sizes are equal) receives the labels of
         # the nodes it is matched to
         a_receives = na < nb
         nxt: dict = {}
 
-        def priced_pairs(pair_a, kept):
+        def priced_pairs(pair_a, parts):
             """Price of re-parenting each node pair (x, y) one level up: a
             move, or deleting x and inserting y after moving the children
-            they keep.  ``kept(x, y)`` gives those children's (price, ops)."""
+            they keep (the kept price and operations of ``parts[x]``)."""
             price_a = []
             price_b = [(0, 0)] * n
             for x, y in enumerate(pair_a):
                 if x >= na or y >= nb:
                     p = (0, 0)   # a padding pair is priced as padding
                 else:
-                    kept_e, kept_ops = kept(x, y)
-                    redo = 2 * leaf[i] + kept_e
+                    redo = 2 * leaf[i] + parts[x][3] * scale
                     if move[i - 1] <= redo:
                         p = (move[i - 1], moved_at[i - 1])
                     else:
-                        p = (redo, kept_ops + reinserted_at[i])
+                        p = (redo, parts[x][4] + reinserted_at[i])
                 price_a.append(p)
                 price_b[y] = p
             return price_a, price_b
@@ -443,58 +427,41 @@ def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
                 cols_b = tuple(tuple(l for l, _ in c) for c in cols_b)
             cols_a += ((),) * (n - len(cols_a))
             cols_b += ((),) * (n - len(cols_b))
+            partner_cols = cols_b if a_pays else cols_a
+            table, col_of = _split_table(
+                spans_a[i] if a_pays else spans_b[i], lab_a if a_pays else lab_b,
+                prices[0 if a_pays else 1] if reinsert[i] else unit_prices, partner_cols)
             if leaves:
                 cur_a = cur_b = [0] * n
                 m_i, f = 0, list(range(n))
             else:
                 labels = canonize_level(cols_a + cols_b)
                 cur_a, cur_b = labels[:n], labels[n:]
-                if reinsert[i]:
-                    table, col_of, W = (
-                        _split_table(spans_a[i], lab_a, prices[0], cols_b, dtype) if a_pays
-                        else _split_table(spans_b[i], lab_b, prices[1], cols_a, dtype))
-                    W = W if a_pays else W.T   # rows a's nodes, columns b's
-                else:
-                    W = build_bipartite_weights(cols_a, cols_b)
+                W = build_bipartite_weights(
+                    table, col_of, dtype,
+                    None if reinsert[i] else [len(c) for c in partner_cols])
+                W = W if a_pays else W.T   # rows a's nodes, columns b's
                 m_i, f, u, v = matching_with_duals(W)
             donor_labels = cur_b if a_receives else cur_a
 
-            def kept_by_moves(x, y):
-                if leaves:
-                    return 0, 0
-                kept = (len(cols_a[x]) + len(cols_b[y]) - int(W[x, y])) // 2
-                return kept * move[i], kept * moved_at[i]
-
-            if not reinsert[i]:
-                # every cost-equal matching re-parents the same number of nodes
-                _check_matching(i + 1, m_i, p_below)
-                M_i = (m_i - p_below) // 2
-                unit_step = (move[i] * M_i if M_i else 0, m_i, M_i * moved_at[i],
-                             kept_by_moves)
-
             def advance(donors):
                 """Record the state reached by giving every receiver the label
-                of its donor."""
+                of its donor, and return its matching value."""
                 pair_a = donors if a_receives else _inverse(donors)
-                if reinsert[i]:
-                    # the paying side has no more children than the other, so
-                    # the symmetric difference is the padding below plus twice
-                    # the children it gives up
-                    parts = ([table[x][col_of[y]] for x, y in enumerate(pair_a)] if a_pays
-                             else [table[y][col_of[x]] for x, y in enumerate(pair_a)])
-                    cost, m_raw, new_ops = 0, p_below, 0
-                    for part in parts:
-                        m_raw += 2 * part[0]
-                        cost += part[1]
-                        new_ops += part[2]
-
-                    def kept(x, y):
-                        return parts[x][3:]
-                else:
-                    cost, m_raw, new_ops, kept = unit_step
+                # the paying side has no more children than the other, so the
+                # symmetric difference is the padding below plus twice the
+                # children it gives up
+                parts = ([table[x][col_of[y]] for x, y in enumerate(pair_a)] if a_pays
+                         else [table[y][col_of[x]] for x, y in enumerate(pair_a)])
+                cost, m_raw, new_ops = 0, p_below, 0
+                for part in parts:
+                    m_raw += 2 * part[0]
+                    cost += part[1]
+                    new_ops += part[2]
+                cost *= scale
                 got = [donor_labels[d] for d in donors]
                 next_a, next_b = (got, cur_b) if a_receives else (cur_a, got)
-                new_prices = priced_pairs(pair_a, kept) if priced else None
+                new_prices = priced_pairs(pair_a, parts) if priced else None
                 price_a, price_b = new_prices or (None, None)
                 key = (_handed_up(spans_a[i - 1], next_a, price_a),
                        _handed_up(spans_b[i - 1], next_b, price_b))
@@ -502,8 +469,13 @@ def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
                 if old is None or acc + cost < old[0]:
                     nxt[key] = (acc + cost, next_a, next_b, (m_raw,) + m_hist,
                                 ops + new_ops, new_prices)
+                return m_raw
 
-            advance(f if a_receives else _inverse(f))
+            m_raw = advance(f if a_receives else _inverse(f))
+            if not reinsert[i] and m_raw != m_i:
+                # the unit matrix is the symmetric difference the table counts
+                raise InvariantError(
+                    f"level {i + 1}: matching value {m_i} is not the table's {m_raw}")
             if leaves or n > _TIE_WIDTH or len(nxt) >= _TIE_STATE_CAP:
                 continue
             tight = W == (np.asarray(u)[:, None] + np.asarray(v)[None, :])
@@ -525,21 +497,22 @@ def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
     best = min(states.values(), key=lambda s: s[0])
     mask = (1 << _OP_BITS) - 1
     counts = [best[4] >> (_OP_BITS * x) & mask for x in range(2 * k)]
-    return _result(weights, sizes, P, [p_below, *best[3]], counts[:k], counts[k:])
+    return _result(leaf_w, move_w, sizes, P, [p_below, *best[3]], counts[:k], counts[k:])
 
 
-def _result(weights: WeightScheme, sizes, P, matching_raw, moves, reinserted):
-    """The distance a script's per-level counts add up to under ``weights``,
-    and its breakdown; ``sizes`` are the two trees' level sizes."""
+def _result(leaf, move, sizes, P, matching_raw, moves, reinserted):
+    """The distance a script's per-level counts add up to under the per-level
+    ``leaf`` and ``move`` weights (index 0 is level 1), and its breakdown;
+    ``sizes`` are the two trees' level sizes."""
     total = 0
     for i in range(len(P)):
         if P[i]:
-            total += weights.leaf_cost(i + 1) * P[i]
+            total += leaf[i] * P[i]
     for i in range(len(P)):
         if moves[i]:
-            total += weights.move_cost(i + 1) * moves[i]
+            total += move[i] * moves[i]
         if reinserted[i]:
-            total += 2 * weights.leaf_cost(i + 1) * reinserted[i]
+            total += 2 * leaf[i] * reinserted[i]
     return total, CostBreakdown(*sizes, P, matching_raw, moves, reinserted, total)
 
 

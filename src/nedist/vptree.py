@@ -47,7 +47,7 @@ class VpIndex:
         self.items = list(items)
         self.labels = labels if labels is not None else list(range(len(items)))
         self._distance = distance
-        self.bucket_size = bucket_size
+        self.bucket_size = check_count(bucket_size, "bucket_size")
         self.eval_count = 0
         rng = random.Random(seed)
         self.root = self._build(list(range(len(self.items))), rng)

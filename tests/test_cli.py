@@ -114,6 +114,12 @@ def test_study_k_effect_rejects_zero_queries(capsys):
     assert "num_queries" in capsys.readouterr().err
 
 
+def test_study_scaling_rejects_zero_pairs(capsys):
+    assert run(["study", "scaling", "--sizes", "5", "--ks", "2", "--pairs", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "pairs_per_bucket" in err
+
+
 def test_study_ted_closeness(capsys):
     assert run(["study", "ted-closeness", "--nmax", "4"]) == 0
     assert "equality_ratio" in capsys.readouterr().out

@@ -180,6 +180,12 @@ def test_scaling_rows():
     assert all(r["pairs"] == 2 for r in rows)
 
 
+def test_scaling_rejects_zero_pairs():
+    for bad in (0, -1):
+        with pytest.raises(UsageError):
+            scaling_study(sizes=(5,), ks=(2,), pairs_per_bucket=bad)
+
+
 def test_k_effect_counts():
     g1 = random_graph(25, 50, seed=13)
     g2 = random_graph(25, 50, seed=14)

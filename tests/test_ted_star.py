@@ -1,17 +1,21 @@
 import gc
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nedist.assignment import matching_with_duals
-from nedist.errors import UsageError
+from nedist.errors import InvariantError, UsageError
 from nedist.experiments import random_tree
 from nedist.ted import (
     UNIT,
     W_PLUS,
     WeightScheme,
+    _spans,
+    _split_table,
     build_bipartite_weights,
     canonize_level,
     ted_star,
@@ -26,13 +30,37 @@ def test_canonize_orders_by_size_then_elements():
     assert canonize_level([(1,), (), (0, 0)]) == [1, 0, 2]
 
 
+def unit_matrix(paying, partners):
+    """A unit level's matrix from the split table, rows the paying nodes'
+    collections, both sides padded to one size with empty collections."""
+    n = max(len(paying), len(partners))
+    labels = [l for c in paying for l in c]
+    partners = tuple(partners) + ((),) * (n - len(partners))
+    table, col_of = _split_table(_spans([len(c) for c in paying]), labels,
+                                 [(1, 1)] * len(labels), partners)
+    return build_bipartite_weights(table, col_of, np.int64, [len(c) for c in partners])
+
+
 def test_bipartite_weights_counted_symmetric_difference():
-    W = build_bipartite_weights([(0, 0, 1)], [(1, 1)])
-    assert W[0][0] == 3
-    W = build_bipartite_weights([(0, 0)], [(0, 0)])
-    assert W[0][0] == 0
-    W = build_bipartite_weights([(0, 0)], [()])   # padded right node
-    assert W[0][0] == 2
+    for a, b, expected in (((0, 0, 1), (1, 1), 3), ((0, 0), (0, 0), 0),
+                           ((0, 0), (), 2)):   # the last: a padded right node
+        for W in (unit_matrix([a], [b]), unit_matrix([b], [a]).T):
+            assert W.dtype == np.int64
+            assert W[0][0] == expected
+    # seeded collections, with padded rows and columns, in both pay directions
+    rng = random.Random(17)
+    for _ in range(200):
+        cols_a = [tuple(sorted(rng.choices(range(4), k=rng.randint(0, 5))))
+                  for _ in range(rng.randint(1, 6))]
+        cols_b = [tuple(sorted(rng.choices(range(4), k=rng.randint(0, 5))))
+                  for _ in range(rng.randint(1, 6))]
+        n = max(len(cols_a), len(cols_b))
+        padded_a = cols_a + [()] * (n - len(cols_a))
+        padded_b = cols_b + [()] * (n - len(cols_b))
+        expected = [[sum(((Counter(x) - Counter(y)) + (Counter(y) - Counter(x))).values())
+                     for y in padded_b] for x in padded_a]
+        assert unit_matrix(cols_a, cols_b).tolist() == expected
+        assert unit_matrix(cols_b, cols_a).T.tolist() == expected
 
 
 def test_forced_leaf_insertion():
@@ -82,6 +110,16 @@ def test_root_is_never_matched(monkeypatch):
     # depth 4: levels 3 and 2 are solved
     assert ted_star_distance_only(P("(((())())(()))"), P("(((()))(()()))")) == 1
     assert calls == [(3, 3), (2, 2)]
+
+
+def test_unit_level_value_must_match_the_table(monkeypatch):
+    def off_by_two(W):
+        m, f, u, v = matching_with_duals(W)
+        return m + 2, f, u, v
+
+    monkeypatch.setattr("nedist.ted.matching_with_duals", off_by_two)
+    with pytest.raises(InvariantError):
+        ted_star(P("(((())())(()))"), P("(((()))(()()))"))
 
 
 def test_weighted_breakdown_recomposes():
@@ -298,6 +336,27 @@ def test_pinned_depth_three_scripts():
             digest.update(repr(ted_star(a, b, w)).encode())
     assert digest.hexdigest() == \
         "eb4596433f7207f802faf0e5ea2bacfa35ead8952467bad3df4bb6ceea0702ff"
+
+
+def test_pinned_exact_weights_beyond_oracle_horizon():
+    # depth 4-7 under a Fraction scheme, which the search scales to
+    # integers, and a scheme on the boundary move_cost(L) = 2 * leaf_cost(L + 1)
+    # at levels 2 and 3, where nothing is reinserted, in both argument
+    # orders: (total, breakdown) pinned by digest
+    schemes = [WeightScheme(leaf=lambda level: Fraction(level, 3),
+                            move=lambda level: Fraction(2 * level + 1, 7), name="fraction"),
+               WeightScheme(leaf={3: 3, 4: 2}, move={2: 6, 3: 4}, name="boundary")]
+    rng = random.Random(18)
+    pairs = [(random_tree(rng.randint(3, 80), rng.randint(4, 7), rng),
+              random_tree(rng.randint(3, 80), rng.randint(4, 7), rng))
+             for _ in range(100)]
+    digest = hashlib.sha256()
+    for w in schemes:
+        for a, b in pairs:
+            digest.update(repr(ted_star(a, b, w)).encode())
+            digest.update(repr(ted_star(b, a, w)).encode())
+    assert digest.hexdigest() == \
+        "984664b1388f06bd8ba1165c3e438cb8370ee4707a1a9350ca6203e40fc80736"
 
 
 def test_ted_star_leaves_no_reference_cycles():

@@ -1,12 +1,16 @@
 """The benchmark's per-layer tracer still finds every name it hooks.
 
 ``benchmarks/tracer.py`` wraps library functions at the names their callers
-look them up by, so renaming one of them breaks traced benchmark runs.  This
-installs and removes the hooks without running the benchmark.
+look them up by, so renaming one of them breaks traced benchmark runs.  These
+tests install and remove the hooks without running the benchmark, and check
+that a traced distance deep enough to be matched counts its matrices.
 """
 
 import importlib.util
 from pathlib import Path
+
+from nedist import ted
+from nedist.tree import parse_tree_literal
 
 TRACER = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
 
@@ -29,3 +33,17 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original
+
+
+def test_traced_depth_four_distance_counts_its_matrices():
+    a = parse_tree_literal("(((())())(()))")
+    b = parse_tree_literal("(((()))(()()))")
+    for weights in (ted.UNIT, ted.W_PLUS):
+        tracer = load_tracer().Tracer().install()
+        try:
+            ted.ted_star(a, b, weights)
+        finally:
+            tracer.uninstall()
+        # levels 3 and 2 are matched: a 3 x 3 and a 2 x 2 matrix
+        assert tracer.calls("ted.bipartite") == tracer.calls("assignment.matching") == 2
+        assert tracer.counts["ted.bipartite.cells"] == 13

@@ -93,6 +93,13 @@ def test_query_argument_validation():
         VpIndex([], int_metric)
 
 
+def test_bucket_size_must_be_positive():
+    for items in ([3], [3, 1, 4, 1, 5]):
+        for bad in (0, -1):
+            with pytest.raises(UsageError):
+                VpIndex(items, int_metric, bucket_size=bad)
+
+
 def test_all_equal_items_degenerate_build():
     index = VpIndex([7] * 40, int_metric, seed=0, bucket_size=4)
     got, _ = index.knn(7, 5)
