@@ -2,8 +2,9 @@
 
 Nodes are compared by the edit distance between their k-level BFS
 neighborhood trees; the distance is a metric, so graphs can be searched
-with exact metric indexes.  Tiny-instance oracles and seeded experiment
-harnesses round out the package.
+with metric indexes, exact where the computed distance keeps the triangle
+inequality.  Tiny-instance oracles and seeded experiment harnesses round
+out the package.
 """
 
 from .errors import (

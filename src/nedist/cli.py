@@ -11,7 +11,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .errors import NedistError, UsageError
+from .errors import NedistError, UsageError, check_count
 from .experiments import (
     AnonymizationSpec,
     anonymize,
@@ -180,7 +180,7 @@ def _build_parser() -> _Parser:
     p.add_argument("action", choices=("compare",))
     p.add_argument("--all", action="store_true")
     p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--depth-max", type=int, default=None)
+    p.add_argument("--depth-max", type=int, default=10**9)
 
     p = sub.add_parser("deanon", parents=[common], help="seeded de-anonymization experiment")
     p.set_defaults(handler=_cmd_deanon)
@@ -296,7 +296,7 @@ def _cmd_graphdist(args, emit, fmt):
 def _cmd_oracle(args, emit, fmt):
     if not args.all:
         raise UsageError("oracle compare requires --all")
-    trees = list(enumerate_trees(args.nmax, args.depth_max or 10**9))
+    trees = list(enumerate_trees(args.nmax, check_count(args.depth_max, "--depth-max")))
     rows = []
     for i in range(len(trees)):
         for j in range(i, len(trees)):

@@ -175,8 +175,7 @@ class DeanonReport:
 
 
 def _degree_signature(g: Graph, v: int):
-    mode = "out" if g.directed else "undirected"
-    return tuple(sorted(len(g.neighbors(w, mode)) for w in g.neighbors(v, mode)))
+    return tuple(sorted(len(g.adj[w]) for w in g.adj[v]))
 
 
 def _degree_distance_fn(train: Graph, anon: Graph):
@@ -185,7 +184,6 @@ def _degree_distance_fn(train: Graph, anon: Graph):
     Deliberately crude plumbing for precision comparisons; it is not a
     recursive feature method.
     """
-    mode = "out" if train.directed else "undirected"
     sig_t = [_degree_signature(train, v) for v in range(train.n)]
     sig_a = [_degree_signature(anon, v) for v in range(anon.n)]
 
@@ -198,8 +196,8 @@ def _degree_distance_fn(train: Graph, anon: Graph):
         return sum(abs(c) for c in counts.values())
 
     def dist(u, v):
-        du = len(anon.neighbors(u, mode))
-        dv = len(train.neighbors(v, mode))
+        du = len(anon.adj[u])
+        dv = len(train.adj[v])
         return abs(du - dv) + hist_l1(sig_a[u], sig_t[v])
 
     return dist
@@ -216,6 +214,7 @@ def deanonymize(train: Graph, anon: Graph, truth: dict, k: int, l: int,
     as inside the cutoff.  The ned ranker uses the weight scheme of
     ``cache`` (a new unit cache when None).
     """
+    check_count(k, "k")
     check_count(l, "l")
     if sample_size is not None:
         check_count(sample_size, "sample_size")
@@ -288,9 +287,11 @@ def ted_closeness_study(pairs=None, n_max: int = 6) -> TedClosenessStats:
     still count toward the equality ratio.
     """
     if pairs is None:
-        trees = list(enumerate_trees(n_max))
+        trees = list(enumerate_trees(check_count(n_max, "n_max")))
         pairs = [(trees[i], trees[j])
                  for i in range(len(trees)) for j in range(i, len(trees))]
+    if not pairs:
+        raise UsageError("no tree pairs to compare")
     rel_errors = []
     equal = 0
     by_depth: dict[int, list[int]] = {}

@@ -73,7 +73,9 @@ class WeightScheme:
     of the parents: re-parenting a node at level L + 1 from one node at
     level L to another costs ``move_cost(L)``.  Either can be a mapping
     {level: weight} (levels are 1-based, the root is level 1; unlisted
-    levels default to 1) or a callable level -> weight.
+    levels default to 1) or a callable level -> weight.  Each weight must be
+    a real number above 0: a mapping's are checked here, a callable's each
+    time ``leaf_cost`` or ``move_cost`` reads one (UsageError otherwise).
 
     The distance is the cost of the cheapest edit script the level-by-level
     algorithm finds under these prices, including scripts that delete and
@@ -82,27 +84,8 @@ class WeightScheme:
 
     def __init__(self, leaf=None, move=None, name: str = "custom"):
         self.name = name
-        self._leaf = self._normalize(leaf)
-        self._move = self._normalize(move)
-
-    @staticmethod
-    def _normalize(spec) -> Callable[[int], object]:
-        if spec is None:
-            return lambda level: 1
-        if callable(spec):
-            return spec
-        if isinstance(spec, Mapping):
-            for level, w in spec.items():
-                _check_weight(w, f"weight for level {level}")
-            table = dict(spec)
-            return lambda level: table.get(level, 1)
-        raise UsageError("weight spec must be a mapping, callable, or None")
-
-    def leaf_cost(self, level: int):
-        return _check_weight(self._leaf(level), f"leaf weight at level {level}")
-
-    def move_cost(self, level: int):
-        return _check_weight(self._move(level), f"move weight at level {level}")
+        self.leaf_cost = _per_level(leaf, "leaf")
+        self.move_cost = _per_level(move, "move")
 
     @classmethod
     def from_table(cls, rows, name: str = "file") -> "WeightScheme":
@@ -114,6 +97,20 @@ class WeightScheme:
             leaf[int(level)] = Fraction(w1)
             move[int(level)] = Fraction(w2)
         return cls(leaf=leaf, move=move, name=name)
+
+
+def _per_level(spec, what: str) -> Callable[[int], object]:
+    """``spec`` as a checked function level -> weight."""
+    if spec is None:
+        return lambda level: 1
+    if callable(spec):
+        return lambda level: _check_weight(spec(level), f"{what} weight at level {level}")
+    if isinstance(spec, Mapping):
+        for level, w in spec.items():
+            _check_weight(w, f"weight for level {level}")
+        table = dict(spec)
+        return lambda level: table.get(level, 1)
+    raise UsageError("weight spec must be a mapping, callable, or None")
 
 
 def _check_weight(w, what: str):

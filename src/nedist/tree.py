@@ -45,11 +45,11 @@ class LevelTree:
     def canonical_literal(self) -> str:
         """AHU canonical form: equal strings iff the trees are isomorphic."""
         if self._canon is None:
-            self._canon = to_tree_literal(self)
+            canonical_form(self)
         return self._canon
 
 
-def _refine_colors(nodes: list[int], depth_of: dict[int, int], neigh) -> dict[int, int]:
+def _refine_colors(nodes: list[int], depth_of: dict[int, int], adj) -> dict[int, int]:
     """Structure-derived colors on a node set, seeded with BFS depth.
 
     Iterated neighborhood refinement: each round, a node's color becomes the
@@ -60,7 +60,7 @@ def _refine_colors(nodes: list[int], depth_of: dict[int, int], neigh) -> dict[in
     color = {v: depth_of[v] for v in nodes}
     classes = len(set(color.values()))
     for _ in range(len(nodes)):
-        sig = {v: (color[v], tuple(sorted(color[w] for w in neigh(v) if w in color)))
+        sig = {v: (color[v], tuple(sorted(color[w] for w in adj[v] if w in color)))
                for v in nodes}
         ranking = {s: i for i, s in enumerate(sorted(set(sig.values())))}
         color = {v: ranking[sig[v]] for v in nodes}
@@ -84,12 +84,15 @@ def extract_k_adjacent_tree(g: Graph, root, k: int, mode: str = "undirected") ->
     """
     check_count(k, "k")
     root = g.resolve(root)
+    g.neighbors(root, mode)   # rejects a mode this graph does not have
+    # BFS follows ``down``; a node's candidate parents are its ``up`` neighbors
+    down, up = ((g.radj, g.adj) if mode == "in"
+                else (g.adj, g.radj if g.directed else g.adj))
     depth_of = {root: 0}
     level_ids: list[list[int]] = [[root]]
     frontier = [root]
     for d in range(1, k):
-        nxt = sorted({w for v in frontier for w in g.neighbors(v, mode)
-                      if w not in depth_of})
+        nxt = sorted({w for v in frontier for w in down[v] if w not in depth_of})
         if not nxt:
             break
         for w in nxt:
@@ -97,13 +100,7 @@ def extract_k_adjacent_tree(g: Graph, root, k: int, mode: str = "undirected") ->
         level_ids.append(nxt)
         frontier = nxt
 
-    if g.directed:
-        def neigh(v):
-            return g.neighbors(v, mode)
-    else:
-        def neigh(v):
-            return g.adj[v]
-    color = _refine_colors(list(depth_of), depth_of, neigh)
+    color = _refine_colors(list(depth_of), depth_of, down)
 
     levels: list[list[TreeNode]] = [[TreeNode(None, node_id=g.labels[root])]]
     prev_pos = {root: 0}
@@ -112,9 +109,7 @@ def extract_k_adjacent_tree(g: Graph, root, k: int, mode: str = "undirected") ->
         cur_pos = {}
         nodes = []
         for v in order:
-            parent = min((w for w in g.neighbors(v, "in" if mode == "out" else
-                                                 ("out" if mode == "in" else mode))
-                          if depth_of.get(w) == d - 1),
+            parent = min((w for w in up[v] if depth_of.get(w) == d - 1),
                          key=lambda w: (color[w], w))
             cur_pos[v] = len(nodes)
             nodes.append(TreeNode(prev_pos[parent], node_id=g.labels[v]))

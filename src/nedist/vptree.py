@@ -1,9 +1,12 @@
 """Vantage-point tree index over node neighborhood signatures.
 
-The index is exact: pruning uses only the triangle inequality of the
-underlying distance, so every query returns precisely what a linear scan
-would.  Entries are (internal node index, signature); ties at equal
-distance resolve by ascending node index.
+Pruning uses only the triangle inequality of the underlying distance, so a
+query returns what a linear scan would only where the distance satisfies
+it.  TED* can break it (README, "Known limitation"): on criterion 1's pool
+(``random.Random(11)``) under ``W_PLUS``, ``VpIndex(pool, distance,
+seed=12).knn(pool[23], 3)`` gives ``[(23, 0), (44, 13), (58, 13)]``, a
+linear scan ``[(23, 0), (35, 13), (44, 13)]``.  Entries are (internal node
+index, signature); ties at equal distance resolve by ascending node index.
 """
 
 from __future__ import annotations
@@ -34,10 +37,11 @@ class _Leaf:
 
 
 class VpIndex:
-    """Exact metric index over a fixed entry list.
+    """Metric index over a fixed entry list.
 
-    ``items`` is a list of signatures; ``distance`` a metric over them.
-    Construction is seeded and deterministic.
+    ``items`` is a list of signatures; ``distance`` a metric over them, or
+    queries may differ from ``linear_scan``.  Construction is seeded and
+    deterministic.
     """
 
     def __init__(self, items, distance, seed: int = 0, labels=None,

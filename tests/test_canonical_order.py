@@ -119,6 +119,12 @@ def test_ted_star_canonizes_each_tree_once(ahu_calls):
     assert len(ahu_calls) == 2
 
 
+def test_cached_distance_canonizes_each_tree_once(ahu_calls):
+    (a, b, _), = tree_pairs(7, 1)
+    TreeDistanceCache().distance(a, b)
+    assert len(ahu_calls) == 2
+
+
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 def test_ted_star_ignores_level_order(scheme):
     w = SCHEMES[scheme]

@@ -97,6 +97,11 @@ def test_oracle_compare_csv(capsys):
     for line in lines[1:]:
         cells = line.split(",")
         assert cells[2] == cells[3]
+    assert run(["oracle", "compare", "--all", "--nmax", "3", "--depth-max", "2",
+                "--format", "csv"]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 7   # (), (()), (()()): 6 pairs
+    assert run(["oracle", "compare", "--all", "--nmax", "3", "--depth-max", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_deanon(graph_file, capsys):
@@ -123,6 +128,8 @@ def test_study_scaling_rejects_zero_pairs(capsys):
 def test_study_ted_closeness(capsys):
     assert run(["study", "ted-closeness", "--nmax", "4"]) == 0
     assert "equality_ratio" in capsys.readouterr().out
+    assert run(["study", "ted-closeness", "--nmax", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_match_with_weight_file(tmp_path, capsys):

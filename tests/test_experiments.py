@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from nedist.errors import UsageError
@@ -155,6 +157,21 @@ def test_degree_baseline_runs():
     report = deanonymize(g, anon, truth, k=2, l=5, method="degree")
     assert report.method == "degree"
     assert 0 <= report.precision <= 1
+    for bad in (0, 2.5):
+        with pytest.raises(UsageError):
+            deanonymize(g, anon, truth, k=bad, l=5, method="degree")
+
+
+def test_pinned_degree_rankings():
+    digest = hashlib.sha256()
+    for directed in (False, True):
+        g = random_graph(60, 120, seed=3, directed=directed)
+        anon, truth = anonymize(g, AnonymizationSpec("perturb", p=0.1, seed=4))
+        for l in (1, 5):
+            report = deanonymize(g, anon, truth, k=2, l=l, method="degree")
+            digest.update(repr(report).encode())
+    assert digest.hexdigest() == \
+        "80425cd2084d4f17a36f6b80389db918aeafd14bbb9aa3cbb79f383875fa890f"
 
 
 def test_closeness_identical_pairs():
@@ -162,6 +179,8 @@ def test_closeness_identical_pairs():
     stats = ted_closeness_study(pairs=[(t, t) for t in trees])
     assert stats.mean_relative_error == 0
     assert stats.equality_ratio == 1.0
+    with pytest.raises(UsageError):
+        ted_closeness_study(pairs=[])
 
 
 def test_closeness_default_corpus():
@@ -170,6 +189,9 @@ def test_closeness_default_corpus():
     assert 0 <= stats.mean_relative_error
     assert 0 < stats.equality_ratio <= 1
     assert set(stats.per_depth_equality) <= set(range(1, 6))
+    for bad in (0, -1, 2.5):
+        with pytest.raises(UsageError):
+            ted_closeness_study(n_max=bad)
 
 
 def test_scaling_rows():

@@ -234,6 +234,22 @@ def test_weight_scheme_rejects_nan_and_non_real_weights():
         ted_star(P("(()())"), P("((()))"), WeightScheme(move=lambda level: nan))
 
 
+def test_mapping_weights_are_checked_once(monkeypatch):
+    import nedist.ted as ted_module
+    mapped = WeightScheme(leaf={3: 3, 4: 2}, move={2: 6, 3: 4})
+    checked = []
+    check = ted_module._check_weight
+    monkeypatch.setattr(ted_module, "_check_weight",
+                        lambda w, what: checked.append(what) or check(w, what))
+    a, b = P("((()(()()))(())(()()))"), P("(((()))((()())())())")
+    for w in (UNIT, mapped):
+        ted_star(a, b, w)
+    assert checked == []
+    with pytest.raises(UsageError):   # a callable's weight is checked when read
+        ted_star(a, b, WeightScheme(move=lambda level: -1 if level == 3 else 1))
+    assert checked
+
+
 def test_weights_past_the_exact_range_are_usage_errors():
     with pytest.raises(UsageError):
         ted_star(P("(((()()()())()))"), P("(((())(()()()())))"),

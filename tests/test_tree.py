@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
 from nedist.errors import TreeLiteralError, UsageError
-from nedist.graph import parse_edge_list
-from nedist.ned import TreeDistanceCache
+from nedist.experiments import random_graph
+from nedist.graph import Graph, parse_edge_list
+from nedist.ned import TreeDistanceCache, tree_for
 from nedist.ted import ted_star
 from nedist.tree import (
     LevelTree,
@@ -64,6 +67,48 @@ def test_directed_extraction_modes():
     assert to_tree_literal(in_t) == "(())"
     assert out_t.levels[1][0].node_id == "b"
     assert in_t.levels[1][0].node_id == "c"
+
+
+def test_extraction_rejects_a_mode_the_graph_lacks():
+    # k = 1 visits no neighbor, and still checks the mode
+    undirected = parse_edge_list(PATH5)
+    directed = parse_edge_list(PATH5, directed=True)
+    for g, bad in ((undirected, "out"), (undirected, "in"), (undirected, "bogus"),
+                   (directed, "undirected"), (directed, "bogus")):
+        for k in (1, 3):
+            with pytest.raises(UsageError):
+                extract_k_adjacent_tree(g, "a", k, bad)
+            with pytest.raises(UsageError):
+                tree_for(g, "a", k, bad)
+
+
+def test_extraction_checks_its_mode_once(monkeypatch):
+    modes = []
+    neighbors = Graph.neighbors
+    monkeypatch.setattr(Graph, "neighbors",
+                        lambda self, v, mode: modes.append(mode) or neighbors(self, v, mode))
+    g = random_graph(30, 60, seed=1, directed=True)
+    for mode in ("in", "out"):
+        assert extract_k_adjacent_tree(g, 0, 4, mode).depth == 4
+    assert modes == ["in", "out"]
+
+
+def test_pinned_extracted_trees():
+    # every node's tree at k = 1-5 on seeded undirected and directed graphs,
+    # in every mode, as (parent, node_id) per level: a refactor of the
+    # extraction must leave each tree and its node order as they are
+    digest = hashlib.sha256()
+    for seed in range(10):
+        directed = seed % 2 == 1
+        g = random_graph(40 + seed, 64 + 2 * seed, seed=seed, directed=directed)
+        for mode in (("in", "out") if directed else ("undirected",)):
+            for k in range(1, 6):
+                for v in range(g.n):
+                    t = extract_k_adjacent_tree(g, v, k, mode)
+                    digest.update(repr([[(n.parent, n.node_id) for n in level]
+                                        for level in t.levels]).encode())
+    assert digest.hexdigest() == \
+        "0ae26e374f4c4b0c4771719306961b71c88eb8b6998777e191950b6d4503759a"
 
 
 def test_node_ids_preserved():
