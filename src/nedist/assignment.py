@@ -3,8 +3,11 @@
 Small instances run a pure-Python Hungarian algorithm with potentials;
 larger integer/float instances are solved by scipy's O(n^3) implementation
 with dual potentials recovered afterwards.  Either way the returned
-assignment is refined to the lexicographically smallest optimal one, which
-makes downstream consumers fully deterministic.
+assignment is refined to the lexicographically smallest optimal one, with
+one reverse search per row, in O(n^3).  That optimum is unique, so the
+assignment does not depend on which optimal duals the solver returned; the
+duals themselves do, and the TED* tie search (``ted._tight_matchings``)
+reads them.
 """
 
 from __future__ import annotations
@@ -120,9 +123,16 @@ def _scipy_with_duals(W: np.ndarray):
 
 
 def _lex_min_refine(matrix, n, f, u, v):
-    """Restrict to tight edges (all optima live there) and greedily pick the
-    lexicographically smallest assignment vector, keeping a perfect matching
-    feasible via augmenting paths."""
+    """The lexicographically smallest optimal assignment, which is unique:
+    under any optimal duals the optima are the perfect matchings of the
+    tight edges, so ``f`` does not depend on which duals came in.
+
+    Rows are fixed in order.  Row i may take a smaller tight column j iff j's
+    holder can pass columns round to i's own: one search back from f[i]
+    over the unfixed rows finds every such holder, so each row makes at most
+    one O(n^2) search and the whole refinement is O(n^3).  Matched edges are
+    followed through col_row, so f[i] need not pass the tightness test.
+    """
     cand = []
     for i in range(n):
         row = matrix[i]
@@ -132,55 +142,41 @@ def _lex_min_refine(matrix, n, f, u, v):
     col_row = [0] * n
     for i, j in enumerate(f):
         col_row[j] = i
-    fixed_col = [False] * n
-
-    def augment(start: int, free_col: int) -> bool:
-        prev: dict[int, int] = {}
-        seen_rows = {start}
-        stack = [start]
-        while stack:
-            r = stack.pop()
-            for jc in cand[r]:
-                if fixed_col[jc] or jc in prev:
-                    continue
-                prev[jc] = r
-                if jc == free_col:
-                    j = jc
-                    while True:
-                        r2 = prev[j]
-                        old = f[r2]
-                        f[r2] = j
-                        col_row[j] = r2
-                        if r2 == start:
-                            return True
-                        j = old
-                r2 = col_row[jc]
-                if r2 not in seen_rows:
-                    seen_rows.add(r2)
-                    stack.append(r2)
-        return False
+    tight_on = None     # tight_on[c]: the rows tight on column c
 
     for i in range(n):
         j0 = f[i]
-        for j in cand[i]:
-            if j >= j0:
-                break
-            if fixed_col[j]:
-                continue
-            displaced = col_row[j]
-            # give column j to row i; the displaced row must re-match, with
-            # the released column j0 now free
-            f[i] = j
-            col_row[j] = i
-            fixed_col[j] = True
-            if augment(displaced, j0):
-                fixed_col[j] = False
-                j0 = j
-                break
-            f[i] = j0
-            col_row[j] = displaced
-            fixed_col[j] = False
-        fixed_col[j0] = True
+        # smaller tight columns still held by unfixed rows
+        smaller = [j for j in cand[i] if j < j0 and col_row[j] > i]
+        if not smaller:
+            continue
+        if tight_on is None:
+            tight_on = [[] for _ in range(n)]
+            for r in range(n):
+                for c in cand[r]:
+                    tight_on[c].append(r)
+        # to[r]: the column unfixed row r moves to when its own is passed on;
+        # no column beats the smallest candidate, so stop once its holder is in
+        to = {}
+        first = col_row[smaller[0]]
+        stack = [j0]
+        while stack and first not in to:
+            c = stack.pop()
+            for r in tight_on[c]:
+                if r > i and r not in to:
+                    to[r] = c
+                    stack.append(f[r])
+        j = next((j for j in smaller if col_row[j] in to), None)
+        if j is None:
+            continue
+        # row i takes j, and from j's holder back to i each row takes the
+        # column it was reached through
+        r = col_row[j]
+        f[i] = j
+        col_row[j] = i
+        while r != i:
+            c = to[r]
+            f[r], col_row[c], r = c, r, col_row[c]
     return f
 
 

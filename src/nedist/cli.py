@@ -11,7 +11,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .errors import NedistError, UsageError, check_count
+from .errors import NedistError, UsageError
 from .experiments import (
     AnonymizationSpec,
     anonymize,
@@ -296,7 +296,7 @@ def _cmd_graphdist(args, emit, fmt):
 def _cmd_oracle(args, emit, fmt):
     if not args.all:
         raise UsageError("oracle compare requires --all")
-    trees = list(enumerate_trees(args.nmax, check_count(args.depth_max, "--depth-max")))
+    trees = list(enumerate_trees(args.nmax, args.depth_max))
     rows = []
     for i in range(len(trees)):
         for j in range(i, len(trees)):

@@ -9,6 +9,7 @@ dataclasses / row dicts so the CLI can render them as text or CSV.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 import statistics
 import time
@@ -31,8 +32,8 @@ ANON_METHODS = ("naive", "sparsify", "perturb")
 def random_tree(n: int, depth_max: int, seed=0) -> LevelTree:
     """Seeded random tree: nodes attach to a uniformly chosen earlier node
     whose depth stays below ``depth_max``."""
-    if n < 1 or depth_max < 1:
-        raise UsageError("random_tree needs n >= 1 and depth_max >= 1")
+    check_count(n, "n")
+    check_count(depth_max, "depth_max")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     levels: list[list[TreeNode]] = [[TreeNode(parent=None)]]
     depths = [0]
@@ -58,11 +59,10 @@ def random_tree(n: int, depth_max: int, seed=0) -> LevelTree:
 
 def random_graph(n: int, m: int, seed=0, directed: bool = False) -> Graph:
     """Uniform simple graph with n nodes and m distinct edges (no self-loops)."""
-    if n < 1:
-        raise UsageError("random_graph needs n >= 1")
+    check_count(n, "n")
     limit = n * (n - 1) if directed else n * (n - 1) // 2
-    if m < 0 or m > limit:
-        raise UsageError(f"edge count {m} outside 0..{limit}")
+    if not (isinstance(m, numbers.Integral) and 0 <= m <= limit):
+        raise UsageError(f"edge count must be an integer in 0..{limit}, got {m!r}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     chosen: set[tuple[int, int]] = set()
     while len(chosen) < m:
@@ -287,7 +287,7 @@ def ted_closeness_study(pairs=None, n_max: int = 6) -> TedClosenessStats:
     still count toward the equality ratio.
     """
     if pairs is None:
-        trees = list(enumerate_trees(check_count(n_max, "n_max")))
+        trees = list(enumerate_trees(n_max))
         pairs = [(trees[i], trees[j])
                  for i in range(len(trees)) for j in range(i, len(trees))]
     if not pairs:
@@ -324,14 +324,18 @@ def scaling_study(sizes=(50, 100, 200, 500), ks=(3,), pairs_per_bucket: int = 5,
     mean_ms.
     """
     check_count(pairs_per_bucket, "pairs_per_bucket")
+    for size in sizes:
+        check_count(size, "size")
+    for k in ks:
+        check_count(k, "k")
     rng = random.Random(seed)
     rows = []
     for k in ks:
         for size in sizes:
             samples = []
             for _ in range(pairs_per_bucket):
-                t1 = random_tree(size, max(k, 1), rng)
-                t2 = random_tree(size, max(k, 1), rng)
+                t1 = random_tree(size, k, rng)
+                t2 = random_tree(size, k, rng)
                 start = time.perf_counter()
                 ted_star_distance_only(t1, t2)
                 samples.append((time.perf_counter() - start) * 1000.0)

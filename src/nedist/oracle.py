@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from functools import lru_cache
 
-from .errors import UsageError
+from .errors import UsageError, check_count
 from .tree import LevelTree, TreeNode, parse_tree_literal, to_tree_literal, _literal_key
 
 
@@ -47,11 +47,11 @@ def _literals(n: int, depth_max: int) -> tuple[str, ...]:
 def enumerate_trees(n_max: int, depth_max: int = 10**9):
     """Every rooted unordered tree with <= n_max nodes and depth <= depth_max,
     exactly once (by canonical form), as LevelTrees."""
-    if n_max > 9:
+    if check_count(n_max, "n_max") > 9:
         raise UsageError("enumeration is capped at 9 nodes")
-    for n in range(1, n_max + 1):
-        for lit in _literals(n, min(depth_max, n)):
-            yield parse_tree_literal(lit)
+    check_count(depth_max, "depth_max")
+    return (parse_tree_literal(lit) for n in range(1, n_max + 1)
+            for lit in _literals(n, min(depth_max, n)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,12 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from scipy.optimize import linear_sum_assignment
+
 from nedist.assignment import (
+    _hungarian,
+    _lex_min_refine,
+    _scipy_with_duals,
     matching_with_duals,
     min_cost_perfect_matching,
 )
@@ -64,7 +69,6 @@ def test_numpy_input_and_large_instance():
     assert sorted(f) == list(range(60))
     assert cost == int(W[np.arange(60), f].sum())
     # cost must not beat the scipy reference optimum
-    from scipy.optimize import linear_sum_assignment
     r, c = linear_sum_assignment(W)
     assert cost == int(W[r, c].sum())
 
@@ -87,6 +91,68 @@ def test_lex_refinement_under_heavy_ties():
         cost, f = min_cost_perfect_matching(np.full((n, n), 3, dtype=np.int64))
         assert f == list(range(n))
         assert cost == 3 * n
+
+
+def heavy_tie_matrix(rng, n):
+    """Few distinct values, rows and columns repeated, as in TED*'s level
+    matrices, where many assignments share the optimal cost."""
+    pool = [[rng.randrange(4) for _ in range(n)] for _ in range(rng.randint(1, 4))]
+    rows = [rng.choice(pool) for _ in range(n)]
+    cols = [rng.randrange(n) for _ in range(n)]
+    return np.array([[row[c] for c in cols] for row in rows], dtype=np.int64)
+
+
+def lex_min_by_fixing_rows(W):
+    """Each row in turn takes the smallest free column that keeps the optimum
+    reachable, checked by solving the rest of the matrix."""
+    def rest(rows, cols):
+        if not rows:
+            return 0
+        sub = W[np.ix_(rows, cols)]
+        r, c = linear_sum_assignment(sub)
+        return int(sub[r, c].sum())
+
+    n = W.shape[0]
+    best = rest(list(range(n)), list(range(n)))
+    spent, free, f = 0, list(range(n)), []
+    for i in range(n):
+        for j in free:
+            others = [c for c in free if c != j]
+            if spent + int(W[i, j]) + rest(list(range(i + 1, n)), others) == best:
+                f.append(j)
+                spent += int(W[i, j])
+                free = others
+                break
+    return best, f
+
+
+def test_lex_refinement_on_small_heavy_tie_matrices():
+    rng = random.Random(19)
+    for _ in range(300):
+        W = heavy_tie_matrix(rng, rng.randint(1, 6))
+        cost, f = min_cost_perfect_matching(W)
+        assert (cost, tuple(f)) == brute_force(W.tolist())
+
+
+def test_lex_refinement_on_large_heavy_tie_matrices():
+    # above 24 rows scipy solves and the refinement reads its recovered duals
+    rng = random.Random(23)
+    for _ in range(8):
+        W = heavy_tie_matrix(rng, rng.randint(25, 40))
+        cost, f = min_cost_perfect_matching(W)
+        assert (cost, f) == lex_min_by_fixing_rows(W)
+
+
+def test_lex_refinement_does_not_depend_on_the_duals():
+    # the lex-min optimum is unique, so both solvers' duals lead to it
+    rng = random.Random(29)
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        W = heavy_tie_matrix(rng, n)
+        listed = W.tolist()
+        f1 = _lex_min_refine(listed, n, *_hungarian(listed, n))
+        f2 = _lex_min_refine(listed, n, *_scipy_with_duals(W))
+        assert f1 == f2
 
 
 def test_input_validation():

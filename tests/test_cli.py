@@ -104,6 +104,11 @@ def test_oracle_compare_csv(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_oracle_compare_rejects_zero_nmax(capsys):
+    assert run(["oracle", "compare", "--all", "--nmax", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: n_max must be")
+
+
 def test_deanon(graph_file, capsys):
     code = run(["deanon", "--graph", graph_file, "--k", "2", "-l", "2"])
     out = capsys.readouterr().out
@@ -123,6 +128,11 @@ def test_study_scaling_rejects_zero_pairs(capsys):
     assert run(["study", "scaling", "--sizes", "5", "--ks", "2", "--pairs", "0"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "pairs_per_bucket" in err
+
+
+def test_study_scaling_rejects_zero_depth(capsys):
+    assert run(["study", "scaling", "--sizes", "5", "--ks", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: k must be")
 
 
 def test_study_ted_closeness(capsys):

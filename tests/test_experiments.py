@@ -36,6 +36,20 @@ def test_random_tree_shape():
         random_tree(5, 1, seed=0)   # a single level cannot hold 5 nodes
 
 
+def test_generators_reject_bad_counts():
+    for bad in (0, -1, 2.5):
+        with pytest.raises(UsageError, match="n must"):
+            random_tree(bad, 3, seed=0)
+        with pytest.raises(UsageError, match="depth_max"):
+            random_tree(3, bad, seed=0)
+        with pytest.raises(UsageError, match="n must"):
+            random_graph(bad, 1, seed=0)
+    for bad in (-1, 2.5, 11):
+        with pytest.raises(UsageError, match="edge count"):
+            random_graph(5, bad, seed=0)
+    assert random_graph(5, 10, seed=0).n == 5
+
+
 def test_random_graph_shape():
     g = random_graph(50, 100, seed=2)
     assert g.n == 50
@@ -206,6 +220,14 @@ def test_scaling_rejects_zero_pairs():
     for bad in (0, -1):
         with pytest.raises(UsageError):
             scaling_study(sizes=(5,), ks=(2,), pairs_per_bucket=bad)
+
+
+def test_scaling_rejects_bad_sizes_and_depths():
+    for bad in (0, -1, 2.5):
+        with pytest.raises(UsageError, match="size"):
+            scaling_study(sizes=(5, bad), ks=(2,), pairs_per_bucket=1)
+        with pytest.raises(UsageError, match="k must"):
+            scaling_study(sizes=(1,), ks=(2, bad), pairs_per_bucket=1)
 
 
 def test_k_effect_counts():

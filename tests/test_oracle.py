@@ -40,6 +40,14 @@ def test_enumeration_cap():
         list(enumerate_trees(10))
 
 
+def test_enumeration_rejects_bad_counts():
+    for bad in (0, -3, 2.5, "3"):
+        with pytest.raises(UsageError, match="n_max"):
+            list(enumerate_trees(bad))
+        with pytest.raises(UsageError, match="depth_max"):
+            list(enumerate_trees(3, bad))
+
+
 def test_ahu_examples():
     assert P("((())())").canonical_literal() == "(()(()))"
     assert P("()").canonical_literal() == "()"

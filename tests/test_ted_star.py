@@ -9,7 +9,8 @@ import pytest
 
 from nedist.assignment import matching_with_duals
 from nedist.errors import InvariantError, UsageError
-from nedist.experiments import random_tree
+from nedist.experiments import random_graph, random_tree
+from nedist.ned import tree_for
 from nedist.ted import (
     UNIT,
     W_PLUS,
@@ -373,6 +374,27 @@ def test_pinned_exact_weights_beyond_oracle_horizon():
             digest.update(repr(ted_star(b, a, w)).encode())
     assert digest.hexdigest() == \
         "984664b1388f06bd8ba1165c3e438cb8370ee4707a1a9350ca6203e40fc80736"
+
+
+def test_pinned_graph_neighborhood_scripts():
+    # k = 4-6 neighborhoods of criterion 4's graphs: wide levels full of
+    # repeated labels, where the matching's lex-min refinement does most of
+    # its work, unlike the random_tree pairs above: (total, breakdown)
+    # pinned by digest
+    g1 = random_graph(400, 700, seed=41)
+    g2 = random_graph(400, 700, seed=42)
+    rng = random.Random(19)
+    pairs = []
+    for _ in range(200):
+        k = rng.randint(4, 6)
+        pairs.append((tree_for(g1, rng.randrange(g1.n), k),
+                      tree_for(g2, rng.randrange(g2.n), k)))
+    digest = hashlib.sha256()
+    for w in (UNIT, W_PLUS):
+        for a, b in pairs:
+            digest.update(repr(ted_star(a, b, w)).encode())
+    assert digest.hexdigest() == \
+        "3a7733485fa7a21a182d4103d48186a7b23efeb37a2da822d305272b592f1363"
 
 
 def test_ted_star_leaves_no_reference_cycles():
