@@ -1,20 +1,20 @@
 """Exact minimum-cost perfect matching on square cost matrices.
 
-Small instances run a pure-Python Hungarian algorithm with potentials;
-larger integer/float instances are solved by scipy's O(n^3) implementation
-with dual potentials recovered afterwards.  Either way the returned
-assignment is refined to the lexicographically smallest optimal one, with
-one reverse search per row, in O(n^3).  That optimum is unique, so the
-assignment does not depend on which optimal duals the solver returned; the
-duals themselves do, and the TED* tie search (``ted._tight_matchings``)
-reads them.
+A matrix wider than _SMALL_N that float64 holds exactly (float, or integer
+with every sum below 2 ** 53) is solved by scipy's O(n^3) implementation,
+with dual potentials recovered afterwards; every other matrix, Fractions and
+ints past int64 included, by an exact pure-Python Hungarian algorithm with
+potentials.  Either way the returned assignment is refined to the
+lexicographically smallest optimal one, with one reverse search per row, in
+O(n^3).  That optimum is unique, so the assignment does not depend on which
+optimal duals the solver returned; the duals themselves do, and the TED*
+tie search (``ted._tight_matchings``) reads them.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -29,15 +29,19 @@ from .errors import UsageError
 _SMALL_N = 24
 
 
-def _validate(matrix):
-    """The side of a square, non-empty matrix of finite non-negative real
-    numbers (NaN is not one; an infinite row can leave no finite matching)."""
+def _validate(matrix) -> np.ndarray:
+    """``matrix`` as an array, if it is a square, non-empty matrix of finite
+    non-negative real numbers (NaN is not one; an infinite row can leave no
+    finite matching).  Fractions and ints past int64 give an object array."""
     try:
         a = np.asarray(matrix)
     except ValueError:   # ragged rows
         raise UsageError("cost matrix must be a list of rows") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise UsageError("cost matrix must be square and non-empty")
+    if a.dtype.kind == "f" and all(isinstance(x, numbers.Integral) for row in matrix for x in row):
+        # numpy rounds ints in [2 ** 63, 2 ** 64) beside smaller ones to float64
+        a = np.array(matrix, dtype=object)
     if a.dtype.kind in "biuf":
         ok = ((a >= 0) & (a < math.inf)).all()
     else:   # object entries (Fraction, large int) are checked one by one
@@ -45,7 +49,7 @@ def _validate(matrix):
             isinstance(x, numbers.Real) and 0 <= x < math.inf for x in a.flat)
     if not ok:
         raise UsageError("cost matrix entries must be finite non-negative real numbers")
-    return a.shape[0]
+    return a
 
 
 def _hungarian(matrix, n):
@@ -180,28 +184,6 @@ def _lex_min_refine(matrix, n, f, u, v):
     return f
 
 
-def _solve(matrix, n: int):
-    """The one solver path: Hungarian below _SMALL_N or on exact Fraction
-    input, scipy with recovered duals above it, then the lex-min refinement.
-    Returns (cost, assignment, u, v); the cost is summed from the matrix
-    entries, so it keeps their number type."""
-    exact = not isinstance(matrix, np.ndarray) and any(
-        isinstance(x, Fraction) for row in matrix for x in row)
-    if n <= _SMALL_N or exact:
-        listed = matrix.tolist() if isinstance(matrix, np.ndarray) else [list(r) for r in matrix]
-        f, u, v = _hungarian(listed, n)
-    else:
-        W = np.asarray(matrix)
-        # scipy solves in float64, which holds integer sums exactly below 2 ** 53
-        if W.dtype.kind != "f" and int(W.max()) * n >= 2 ** 53:
-            raise UsageError("cost matrix entries too large for exact matching")
-        f, u, v = _scipy_with_duals(W)
-        listed = W.tolist()
-    f = _lex_min_refine(listed, n, f, u, v)
-    cost = sum(listed[i][f[i]] for i in range(n))
-    return cost, f, u, v
-
-
 def min_cost_perfect_matching(matrix):
     """Minimum-cost perfect matching of a square non-negative matrix.
 
@@ -209,15 +191,24 @@ def min_cost_perfect_matching(matrix):
     row i.  Among cost-equal optima the lexicographically smallest
     assignment vector is returned.
     """
-    cost, f, _, _ = _solve(matrix, _validate(matrix))
+    cost, f, _, _ = matching_with_duals(_validate(matrix))
     return cost, f
 
 
 def matching_with_duals(W: np.ndarray):
-    """Fast internal path for the distance computation: numpy matrix in,
-    (cost, assignment, u, v) out with the same lexicographic tie-break.
+    """(cost, assignment, u, v) of an unchecked square array, routed as the
+    module docstring says, with the tie-break of min_cost_perfect_matching;
+    the cost is summed from the entries, so it keeps their number type.
 
     The duals satisfy u[i] + v[j] <= W[i][j] with equality on every edge any
     optimal assignment uses, which lets callers enumerate cost-equal optima.
     """
-    return _solve(W, W.shape[0])
+    n = W.shape[0]
+    listed = W.tolist()
+    if n > _SMALL_N and (W.dtype.kind == "f" or
+                         W.dtype.kind in "iu" and int(W.max()) * n < 2 ** 53):
+        f, u, v = _scipy_with_duals(W)
+    else:
+        f, u, v = _hungarian(listed, n)
+    f = _lex_min_refine(listed, n, f, u, v)
+    return sum(listed[i][f[i]] for i in range(n)), f, u, v

@@ -104,19 +104,11 @@ def _rows_to_lines(rows, columns, fmt: str):
     return lines
 
 
-def _breakdown_rows(br):
-    rows = []
-    for i in range(br.levels):
-        rows.append({
-            "level": i + 1,
-            "size_1": br.sizes_a[i],
-            "size_2": br.sizes_b[i],
-            "P": br.padding[i],
-            "m": br.matching_raw[i],
-            "M": br.matching[i],
-            "R": br.reinserted[i],
-        })
-    return rows, ["level", "size_1", "size_2", "P", "m", "M", "R"]
+def _breakdown_lines(br, fmt: str):
+    columns = ["level", "size_1", "size_2", "P", "m", "M", "R"]
+    rows = zip(range(1, br.levels + 1), br.sizes_a, br.sizes_b, br.padding,
+               br.matching_raw, br.matching, br.reinserted)
+    return _rows_to_lines([dict(zip(columns, row)) for row in rows], columns, fmt)
 
 
 def _build_parser() -> _Parser:
@@ -239,8 +231,7 @@ def _cmd_dist(args, emit, fmt):
     t2 = parse_tree_literal(args.tree2)
     total, br = ted_star(t1, t2, w)
     if args.breakdown:
-        rows, cols = _breakdown_rows(br)
-        emit(_rows_to_lines(rows, cols, fmt) + [f"total {_number(total)}"])
+        emit(_breakdown_lines(br, fmt) + [f"total {_number(total)}"])
     else:
         emit([_number(total)])
 
@@ -260,15 +251,11 @@ def _cmd_ned(args, emit, fmt):
         signature(g1, args.node1, args.k), signature(g2, args.node2, args.k))
     if not args.breakdown:
         emit([_number(total)])
-    elif args.directed:
-        lines = []
-        for tag, br in zip(("in", "out"), breakdowns):
-            rows, cols = _breakdown_rows(br)
-            lines += [f"[{tag} tree]"] + _rows_to_lines(rows, cols, fmt)
-        emit(lines + [_number(total)])
-    else:
-        rows, cols = _breakdown_rows(breakdowns[0])
-        emit(_rows_to_lines(rows, cols, fmt) + [f"total {_number(total)}"])
+        return
+    lines = []
+    for tag, br in zip(("in", "out"), breakdowns):   # one breakdown when undirected
+        lines += [f"[{tag} tree]"] * args.directed + _breakdown_lines(br, fmt)
+    emit(lines + [f"total {_number(total)}"])
 
 
 def _cmd_knn(args, emit, fmt):

@@ -13,7 +13,6 @@ import numbers
 import random
 import statistics
 import time
-import warnings
 from dataclasses import dataclass
 
 from .errors import UsageError, check_count
@@ -117,9 +116,6 @@ def anonymize(g: Graph, spec: AnonymizationSpec):
     n_edit = 0
     if spec.method in ("sparsify", "perturb"):
         n_edit = math.ceil(spec.p * len(edges) - 1e-12)
-        if n_edit > len(edges):
-            warnings.warn("requested more deletions than edges exist; clamping")
-            n_edit = len(edges)
     removal_order = list(edges)
     rng.shuffle(removal_order)
     kept = set(edges) - set(removal_order[:n_edit])

@@ -12,7 +12,7 @@ import random
 
 from .errors import UsageError, check_count
 from .graph import Graph
-from .ted import UNIT, WeightScheme, ted_star_distance_only
+from .ted import UNIT, WeightScheme, check_scheme, ted_star_distance_only
 from .tree import LevelTree, extract_k_adjacent_tree
 # unused here, but benchmarks/tracer.py hooks this name under nedist.ned
 from .tree import parse_tree_literal  # noqa: F401
@@ -59,7 +59,7 @@ class TreeDistanceCache:
     """
 
     def __init__(self, weights: WeightScheme = UNIT):
-        self.weights = weights
+        self.weights = check_scheme(weights)
         self._memo: dict[tuple[str, str], object] = {}
         self.evaluations = 0   # logical distance evaluations requested
         self.computations = 0  # distances actually computed

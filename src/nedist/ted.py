@@ -44,8 +44,9 @@ same M = (D - P_3) / 2 equally priced nodes, so every state the tie search
 could record has one total and one breakdown: M moves at level 2, or M
 re-insertions at level 3 where ``move_cost(2) > 2 * leaf_cost(3)``.  That
 takes a sort, O(n log n); deeper trees run the level search, whose
-matchings take O(n^3) per level.  With no matrix built, no weight is past
-the exact range at depth 3 or less.
+matchings take O(n^3) per level.  Integer and Fraction weights stay exact at
+any size: where a level's entries could leave int64 its matrix holds Python
+ints, which the matching solves with its exact solver.
 """
 
 from __future__ import annotations
@@ -120,6 +121,13 @@ def _check_weight(w, what: str):
     return w
 
 
+def check_scheme(weights) -> WeightScheme:
+    """``weights`` if it is a WeightScheme, else UsageError."""
+    if not isinstance(weights, WeightScheme):
+        raise UsageError(f"weights must be a WeightScheme, got {weights!r}")
+    return weights
+
+
 UNIT = WeightScheme(name="unit")
 W_PLUS = WeightScheme(move=lambda level: 4 * level, name="wplus")
 
@@ -163,7 +171,8 @@ def canonize_level(children_collections) -> list[int]:
 # padded side of a level receives the labels of the nodes it is matched to;
 # the exploration walks the perfect matchings of the edges tight under the
 # solver's duals (every edge some optimum uses, and maybe edges none uses, so
-# what gets recorded depends on the duals and so on assignment._SMALL_N),
+# what gets recorded depends on the duals and so on the solver, which
+# assignment picks by the matrix's width and entries),
 # depth first and receiver by receiver, and records each new tuple of
 # received labels.  Caps bound it: at most _TIE_VISIT_CAP choices per level,
 # _TIE_EMIT_CAP label tuples and _TIE_STATE_CAP states; levels wider than
@@ -319,6 +328,7 @@ _OP_BITS = 32
 
 def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
     """Distance and full per-level cost breakdown."""
+    check_scheme(weights)
     # the level search reads node order (tie-breaks, capped tie search), so it
     # runs on the canonical shapes; fixing an internal order makes symmetry exact
     lit1, shape_a = canonical_form(t1)
@@ -361,12 +371,13 @@ def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
     # spans_a[i]: each level-i node's children, as an index range one level down
     spans_a = [_spans(counts) for counts in shape_a]
     spans_b = [_spans(counts) for counts in shape_b]
-    for i in range(1, k - 1):   # the levels the loop below matches
-        # a reinsert matrix entry, and a dual over it, stay within twice the
-        # paying side's children at their top price move[i]
-        if (reinsert[i] and dtype is np.int64
-                and 2 * min(sizes_a[i + 1], sizes_b[i + 1]) * move[i] >= 2 ** 63):
-            raise UsageError(f"weights too large for exact matching at level {i + 1}")
+    # a reinsert matrix entry, and a dual over it, stay within twice the paying
+    # side's children at their top price move[i]; where that could leave int64
+    # the matrices hold Python ints, which the matching solves exactly
+    if dtype is np.int64 and any(
+            reinsert[i] and 2 * min(sizes_a[i + 1], sizes_b[i + 1]) * move[i] >= 2 ** 63
+            for i in range(1, k - 1)):   # the levels the loop below matches
+        dtype = object
     moved_at = [1 << (_OP_BITS * i) for i in range(k)]
     reinserted_at = [1 << (_OP_BITS * (k + i)) for i in range(k)]
 

@@ -36,6 +36,12 @@ class _Leaf:
     entries: list[int]    # entry indices
 
 
+def _check_radius(r):
+    """UsageError unless ``r`` is a real number >= 0 (not NaN)."""
+    if not (isinstance(r, numbers.Real) and r >= 0):
+        raise UsageError(f"radius must be a real number >= 0, got {r!r}")
+
+
 class VpIndex:
     """Metric index over a fixed entry list.
 
@@ -119,8 +125,7 @@ class VpIndex:
 
     def range_query(self, query, r):
         """All entries within distance r, ascending by (distance, node index)."""
-        if not (isinstance(r, numbers.Real) and r >= 0):
-            raise UsageError(f"radius must be a real number >= 0, got {r!r}")
+        _check_radius(r)
         start = self.eval_count
         out = []
 
@@ -147,6 +152,10 @@ class VpIndex:
 
     def linear_scan(self, query, l=None, r=None):
         """Reference scan over every entry (used to verify exactness)."""
+        if l is not None:
+            check_count(l, "l")
+        if r is not None:
+            _check_radius(r)
         dists = sorted((self._distance(query, item), i)
                        for i, item in enumerate(self.items))
         if r is not None:

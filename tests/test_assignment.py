@@ -182,13 +182,52 @@ def test_input_validation():
             min_cost_perfect_matching(not_real)
 
 
-def test_integers_past_float64_exactness_are_usage_errors():
+def test_integers_past_float64_exactness_are_exact():
     # above 24 rows scipy solves in float64, where integer sums stay exact
-    # only below 2 ** 53; the pure-Python solver below it is exact at any size
-    big = np.eye(25, dtype=np.int64) * 2 ** 49
-    with pytest.raises(UsageError):
-        min_cost_perfect_matching(big)
-    with pytest.raises(UsageError):
-        min_cost_perfect_matching((np.eye(25, dtype=object) * 2 ** 70).tolist())
-    assert min_cost_perfect_matching(big // 2)[0] == 0
-    assert min_cost_perfect_matching(big[:24, :24] * 2 ** 10)[0] == 0
+    # only below 2 ** 53; past that, and past int64, the pure-Python solver
+    # runs.  c times a matrix has the matrix's optimum at c times its cost
+    rng = random.Random(23)
+    for _ in range(20):
+        n = rng.randint(25, 40)
+        base = np.array([[rng.randint(0, 9) for _ in range(n)] for _ in range(n)])
+        cost, f = min_cost_perfect_matching(base)
+        for c in (2 ** 50, 2 ** 70):   # int64 with max * n >= 2 ** 53; past int64
+            scaled = base * c if c < 2 ** 63 else (base.astype(object) * c).tolist()
+            got = min_cost_perfect_matching(scaled)
+            assert got == (cost * c, f)
+            assert type(got[0]) is int
+    # numpy turns ints in [2 ** 63, 2 ** 64) beside smaller ones into float64,
+    # which cannot hold 2 ** 63 + 30; row 0 makes the optimum take one
+    zero_one = [[1] * 30] + [[rng.randint(0, 1) for _ in range(30)] for _ in range(29)]
+    cost, f = min_cost_perfect_matching(zero_one)
+    big = [[1 + x * 2 ** 63 for x in row] for row in zero_one]
+    assert min_cost_perfect_matching(big) == (30 + cost * 2 ** 63, f)
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        m = [[rng.randint(0, 2) * 2 ** 80 + rng.randint(0, 1) for _ in range(n)]
+             for _ in range(n)]
+        cost, f = min_cost_perfect_matching(m)
+        bcost, bf = brute_force(m)
+        assert cost == bcost
+        assert f == list(bf)
+
+
+def test_fraction_arrays_match_their_lists():
+    # an object array of Fractions wider than 24 runs the exact solver, as
+    # the same matrix as a list does, with the optimum of the matrix times
+    # the common denominator 12
+    rng = random.Random(29)
+    m = [[Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(25)]
+         for _ in range(25)]
+    cost, f, u, v = matching_with_duals(np.array(m, dtype=object))
+    assert (cost, f) == min_cost_perfect_matching(m) == \
+        min_cost_perfect_matching(np.array(m, dtype=object))
+    assert type(cost) is Fraction
+    scaled_cost, scaled_f = min_cost_perfect_matching([[int(x * 12) for x in row] for row in m])
+    assert (cost, f) == (Fraction(scaled_cost, 12), scaled_f)
+    assert all(u[i] + v[j] <= m[i][j] for i in range(25) for j in range(25))
+    assert all(u[i] + v[f[i]] == m[i][f[i]] for i in range(25))
+    # a list of ints and floats is a float matrix
+    cost, f = min_cost_perfect_matching([[1, 2.5], [3, 0]])
+    assert (cost, f) == (1.0, [0, 1])
+    assert type(cost) is float

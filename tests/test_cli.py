@@ -54,6 +54,18 @@ def test_ned(graph_file, capsys):
     assert capsys.readouterr().out == "1\n"
 
 
+def test_ned_breakdown_ends_with_the_total(graph_file, tmp_path, capsys):
+    directed = tmp_path / "path.el"
+    directed.write_text("a b\nb c\nc d\n")
+    for args in (["--graph1", graph_file, "--graph2", graph_file],
+                 ["--graph1", str(directed), "--graph2", str(directed), "--directed"]):
+        assert run(["ned", *args, "--node1", "a", "--node2", "c", "--k", "2",
+                    "--breakdown"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1] == "total 1"
+        assert ("[in tree]" in out) == ("--directed" in args)
+
+
 def test_ned_unknown_node(graph_file, capsys):
     code = run(["ned", "--graph1", graph_file, "--node1", "zz",
                 "--graph2", graph_file, "--node2", "c", "--k", "2"])
@@ -167,13 +179,13 @@ def test_bad_weight_file(tmp_path):
 
 
 def test_weights_past_the_exact_range(tmp_path, capsys):
-    # a common denominator of 10 ** 19 scales level 3's move past int64
+    # a common denominator of 10 ** 19 scales level 3's move past int64, so
+    # the level matches in Python ints: one leaf deleted at level 4
     wf = tmp_path / "w.txt"
     wf.write_text("3 1 9\n4 1.0000000000000000001 1\n")
     assert run(["dist", "--tree1", "(((()()()())()))", "--tree2", "(((())(()()()())))",
-                "--weights", str(wf)]) == 1
-    assert capsys.readouterr().err.startswith(
-        "error: weights too large for exact matching at level 3")
+                "--weights", str(wf)]) == 0
+    assert capsys.readouterr().out == "10000000000000000001/10000000000000000000 (1)\n"
 
 
 def test_out_file(tmp_path, graph_file):

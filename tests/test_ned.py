@@ -9,7 +9,8 @@ from nedist.ned import (
     ned_directed,
     tree_for,
 )
-from nedist.ted import UNIT, W_PLUS
+from nedist.ted import UNIT, W_PLUS, ted_star
+from nedist.tree import parse_tree_literal as P
 
 PATH5 = "a b\nb c\nc d\nd e\n"
 
@@ -122,3 +123,15 @@ def test_hausdorff_directed():
     g1 = parse_edge_list("a b\nb c\n", directed=True)
     g2 = parse_edge_list("x y\ny z\n", directed=True)
     assert hausdorff_graph_distance(g1, g2, 2) == 0
+
+
+def test_weights_must_be_a_weight_scheme():
+    g = parse_edge_list(PATH5)
+    t1, t2 = P("(()())"), P("(()()())")
+    for bad in ("wplus", None, {2: 3}):
+        with pytest.raises(UsageError):
+            ted_star(t1, t2, bad)
+        with pytest.raises(UsageError):
+            ned(g, "a", g, "c", 2, weights=bad)
+        with pytest.raises(UsageError):
+            TreeDistanceCache(bad)

@@ -10,6 +10,7 @@ import pytest
 from nedist.assignment import matching_with_duals
 from nedist.errors import InvariantError, UsageError
 from nedist.experiments import random_graph, random_tree
+from nedist.oracle import exact_ted_star
 from nedist.ned import tree_for
 from nedist.ted import (
     UNIT,
@@ -251,26 +252,73 @@ def test_mapping_weights_are_checked_once(monkeypatch):
     assert checked
 
 
-def test_weights_past_the_exact_range_are_usage_errors():
-    with pytest.raises(UsageError):
-        ted_star(P("(((()()()())()))"), P("(((())(()()()())))"),
-                 WeightScheme(leaf={4: 2 ** 61}, move={3: 2 ** 63 - 1}))
-    # depth 3 builds no matrix, so the same trees one level up are exact
+def test_weights_past_the_exact_range_stay_exact():
+    # a reinsert entry that could leave int64 puts the level's matrix in
+    # Python ints; the trees give what the same trees one level up give at
+    # depth 3, where the closed form builds no matrix
+    assert ted_star_distance_only(P("(((()()()())()))"), P("(((())(()()()())))"),
+                                  WeightScheme(leaf={4: 2 ** 61}, move={3: 2 ** 63 - 1})) == 2 ** 61
     assert ted_star_distance_only(P("((()()()())())"), P("((())(()()()()))"),
                                   WeightScheme(leaf={3: 2 ** 61}, move={2: 2 ** 63 - 1})) == 2 ** 61
     # the root is not matched, so its move price builds no matrix
     assert ted_star_distance_only(P("(()())"), P("(()()())"),
                                   WeightScheme(move={1: 2 ** 62})) == 1
-    # each of the paying side's surplus leaves is priced at 2 ** 50; the
-    # matching solves levels wider than 24 nodes in float64, exact below 2 ** 53
+    # each of the paying side's surplus leaves is priced at 2 ** 50; a level
+    # wider than 24 nodes goes to scipy's float64 solver only while its sums
+    # stay below 2 ** 53, and to the exact solver past that
     w = WeightScheme(leaf={4: 2 ** 49}, move={3: 2 ** 51})
     assert ted_star_distance_only(P("((" + "(()())" * 5 + "()" * 5 + "))"),
                                   P("((" + "(())" * 11 + "))"), w) == 11 * 2 ** 49 + 1
-    with pytest.raises(UsageError):
-        ted_star(P("((" + "(()())" * 15 + "()" * 15 + "))"), P("((" + "(())" * 31 + "))"), w)
+    assert ted_star_distance_only(P("((" + "(()())" * 15 + "()" * 15 + "))"),
+                                  P("((" + "(())" * 31 + "))"), w) == 31 * 2 ** 49 + 1
     w = WeightScheme(leaf={3: 2 ** 49}, move={2: 2 ** 51})
     assert ted_star_distance_only(P("(" + "(()())" * 15 + "()" * 15 + ")"),
                                   P("(" + "(())" * 31 + ")"), w) == 31 * 2 ** 49 + 1
+
+
+def narrow_deep_pairs(rng, count, sizes, depths):
+    """Seeded pairs of trees with no level wider than 24 nodes."""
+    pairs = []
+    while len(pairs) < count:
+        pair = [random_tree(rng.randint(*sizes), rng.randint(*depths), rng) for _ in "ab"]
+        if all(len(level) <= 24 for t in pair for level in t.levels):
+            pairs.append(pair)
+    return pairs
+
+
+def record_matrix_kinds(monkeypatch):
+    import nedist.ted as ted_module
+    kinds = set()
+
+    def matching(W):
+        kinds.add(W.dtype.kind)
+        return matching_with_duals(W)
+
+    monkeypatch.setattr(ted_module, "matching_with_duals", matching)
+    return kinds
+
+
+def test_wplus_scaled_past_int64_scales_the_distance(monkeypatch):
+    # levels of at most 24 nodes match in the pure-Python solver either way,
+    # whose duals scale with the matrix, so the whole level search does
+    kinds = record_matrix_kinds(monkeypatch)
+    c = 2 ** 62
+    scaled = WeightScheme(leaf=lambda level: c, move=lambda level: 4 * level * c)
+    for a, b in narrow_deep_pairs(random.Random(20), 60, (5, 40), (5, 5)):
+        total, br = ted_star(a, b, W_PLUS)
+        scaled_total, scaled_br = ted_star(a, b, scaled)
+        assert scaled_total == total * c
+        assert (scaled_br.matching, scaled_br.reinserted) == (br.matching, br.reinserted)
+    assert "O" in kinds
+
+
+def test_small_pairs_past_int64_equal_the_oracle(monkeypatch):
+    # a common denominator of 10 ** 19 scales level 3's move past int64
+    kinds = record_matrix_kinds(monkeypatch)
+    w = WeightScheme.from_table([(3, 1, 9), (4, "1.0000000000000000001", 1)])
+    for a, b in narrow_deep_pairs(random.Random(21), 30, (5, 8), (4, 5)):
+        assert ted_star_distance_only(a, b, w) == exact_ted_star(a, b, budget=None, weights=w)
+    assert "O" in kinds
 
 
 def test_wplus_scales_moves_by_level():

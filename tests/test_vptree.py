@@ -93,6 +93,19 @@ def test_query_argument_validation():
         VpIndex([], int_metric)
 
 
+def test_linear_scan_checks_its_arguments_as_the_queries_do():
+    index, _ = make_index(10)
+    for bad in (0, -1, 2.5, "2"):
+        with pytest.raises(UsageError):
+            index.linear_scan(0, l=bad)
+    for bad in (-1, float("nan"), "x"):
+        with pytest.raises(UsageError):
+            index.linear_scan(0, r=bad)
+    assert len(index.linear_scan(0)) == len(index)
+    assert index.linear_scan(0, l=3) == index.knn(0, 3)[0]
+    assert index.linear_scan(0, r=5) == index.range_query(0, 5)[0]
+
+
 def test_bucket_size_must_be_positive():
     for items in ([3], [3, 1, 4, 1, 5]):
         for bad in (0, -1):
