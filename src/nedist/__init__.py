@@ -1,10 +1,10 @@
 """nedist: node-neighborhood edit distances over level trees.
 
 Nodes are compared by the edit distance between their k-level BFS
-neighborhood trees; the distance is a metric, so graphs can be searched
-with metric indexes, exact where the computed distance keeps the triangle
-inequality.  Tiny-instance oracles and seeded experiment harnesses round
-out the package.
+neighborhood trees.  An index answers exact nearest-neighbor and range
+queries over a graph's nodes, pruning by a lower bound on that distance.
+Tiny-instance oracles and seeded experiment harnesses round out the
+package.
 """
 
 from .errors import (

@@ -145,11 +145,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--directed", action="store_true")
     p.add_argument("--breakdown", action="store_true")
 
-    p = sub.add_parser("knn", parents=[common], help="nearest neighbors via the metric index")
+    p = sub.add_parser("knn", parents=[common], help="exact nearest neighbors via the index")
     p.set_defaults(handler=_cmd_knn)
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--index-seed", type=int, default=0)
+    p.add_argument("--index-seed", type=int, default=0,
+                   help="accepted for older scripts; results do not depend on it")
     p.add_argument("--query-graph", required=True)
     p.add_argument("--query-node", required=True)
     p.add_argument("-l", type=int, required=True)

@@ -121,6 +121,10 @@ def anonymize(g: Graph, spec: AnonymizationSpec):
     kept = set(edges) - set(removal_order[:n_edit])
 
     if spec.method == "perturb" and n_edit:
+        pairs = g.n * (g.n - 1) // (1 if g.directed else 2)
+        if pairs - len(edges) < n_edit:
+            raise UsageError(f"perturb needs {n_edit} absent node pairs to insert, "
+                             f"the graph has {pairs - len(edges)}")
         present = set(edges)
         added = []
         while len(added) < n_edit:

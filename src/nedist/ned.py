@@ -98,13 +98,15 @@ def ned_directed(gu: Graph, u, gv: Graph, v, k: int, weights: WeightScheme = UNI
 
 
 def _signature_groups(g: Graph, nodes, k: int):
-    """Distinct node signatures among ``nodes`` (one representative each)."""
+    """Distinct node signatures among ``nodes``: a (representative, members)
+    pair per isomorphism class, in order of first appearance, each class's
+    nodes in the order of ``nodes``."""
     groups: dict = {}
     for v in nodes:
         s = signature(g, v, k)
         key = (tuple(t.canonical_literal() for t in s) if g.directed
                else s.canonical_literal())
-        groups.setdefault(key, s)
+        groups.setdefault(key, (s, []))[1].append(v)
     return list(groups.values())
 
 
@@ -132,8 +134,8 @@ def hausdorff_graph_distance(a: Graph, b: Graph, k: int,
             return rng.sample(list(nodes), sample)
         return list(nodes)
 
-    sig_a = _signature_groups(a, pick(a, 0), k)
-    sig_b = _signature_groups(b, pick(b, 1), k)
+    sig_a = [s for s, _ in _signature_groups(a, pick(a, 0), k)]
+    sig_b = [s for s, _ in _signature_groups(b, pick(b, 1), k)]
     dist = signature_distance(a.directed, (cache or TreeDistanceCache()).distance)
     rows = [[dist(sa, sb) for sb in sig_b] for sa in sig_a]
     h_ab = max(min(row) for row in rows)

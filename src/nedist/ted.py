@@ -32,7 +32,7 @@ the two collections, and the matrix entry 2 * moved + |y| - |x| is the
 counted symmetric difference |x| + |y| - 2 * overlap exactly.
 
 At depth 3 or less the level search has a closed form, which ``ted_star``
-returns without a matrix, a solve or a tie search.  Level 3 holds only
+returns without a canonical pass, a matrix, a solve or a tie search.  Level 3 holds only
 leaves, so its labels are all equal, and where level 2 may reinsert, each
 level-3 node carries the same price ``2 * leaf_cost(3)``.  Level 2's matrix
 is then g(c_x - c_y) over the nodes' child counts, with g(t) = |t| or
@@ -256,18 +256,40 @@ def _inverse(perm) -> list[int]:
 
 def _search_costs(leaf, move):
     """The per-level ``leaf`` and ``move`` costs (index 0 is level 1) on one
-    exact scale, with the dtype of the matrices they enter.
+    exact scale, with the dtype of the matrices they enter, and the scale.
 
     Rational weights are multiplied by their common denominator so that the
     level matchings run on integer matrices; float weights stay floats.
     """
     if any(isinstance(w, float) for w in leaf + move):
-        return leaf, move, float
+        return leaf, move, float, 1
+    scale = 1
     if not all(type(w) is int for w in leaf + move):
         scale = math.lcm(*(Fraction(w).denominator for w in leaf + move))
         leaf = [int(w * scale) for w in leaf]
         move = [int(w * scale) for w in move]
-    return leaf, move, np.int64
+    return leaf, move, np.int64, scale
+
+
+def bound_weights(weights: WeightScheme, k: int):
+    """The weights of TED*'s lower bound over levels 1..k (``nedist.vptree``):
+    (size, count, unit, exact), index 0 is level 1.
+
+    ``unit`` times the bound is the sum over levels i of ``size[i]`` times
+    the difference of the two level sizes, plus, for levels 1..k - 1,
+    ``count[i]`` times the L1 distance of level i's child counts, each sorted
+    and padded with zeros.  With c_i = min(move(i), 2 leaf(i + 1)) and c_0 = 0,
+    ``size[i]`` is 2 leaf(i) - c_(i-1) and ``count[i]`` is c_i, both on the
+    scale of ``_search_costs``, so that integer and Fraction weights give
+    integers and ``exact``; float weights give floats.
+    """
+    check_scheme(weights)
+    leaf_w = [weights.leaf_cost(level) for level in range(1, k + 1)]
+    move_w = [weights.move_cost(level) for level in range(1, k)]
+    leaf, move, dtype, scale = _search_costs(leaf_w, move_w)
+    count = [min(m, 2 * l) for m, l in zip(move, leaf[1:])]
+    size = [2 * l - c for l, c in zip(leaf, [0] + count)]
+    return size, count, 2 * scale, dtype is not float
 
 
 def _split_table(spans, labels, prices, partner_cols):
@@ -329,20 +351,12 @@ _OP_BITS = 32
 def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
     """Distance and full per-level cost breakdown."""
     check_scheme(weights)
-    # the level search reads node order (tie-breaks, capped tie search), so it
-    # runs on the canonical shapes; fixing an internal order makes symmetry exact
-    lit1, shape_a = canonical_form(t1)
-    lit2, shape_b = canonical_form(t2)
-    swapped = lit1 > lit2
-    if swapped:
-        shape_a, shape_b = shape_b, shape_a
-    k = max(len(shape_a), len(shape_b))
-    shape_a += ((),) * (k - len(shape_a))   # no nodes below a tree's depth
-    shape_b += ((),) * (k - len(shape_b))
-    sizes_a = [len(counts) for counts in shape_a]
-    sizes_b = [len(counts) for counts in shape_b]
-    sizes = (sizes_b, sizes_a) if swapped else (sizes_a, sizes_b)
-    P = [abs(sizes_a[i] - sizes_b[i]) for i in range(k)]
+    counts_1, counts_2 = t1.child_counts(), t2.child_counts()   # validates both
+    k = max(len(counts_1), len(counts_2))
+    counts_1 += ((),) * (k - len(counts_1))   # no nodes below a tree's depth
+    counts_2 += ((),) * (k - len(counts_2))
+    sizes = ([len(c) for c in counts_1], [len(c) for c in counts_2])
+    P = [abs(x - y) for x, y in zip(*sizes)]
 
     # the weights read once, index 0 is level 1; the level search scales them
     leaf_w = [weights.leaf_cost(level) for level in range(1, k + 1)]
@@ -350,14 +364,14 @@ def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
     # reinsert[i]: at the matching of level i + 1 some re-parented child may
     # be cheaper to delete and re-insert than to move
     reinsert = [i + 1 < k and move_w[i] > 2 * leaf_w[i + 1] for i in range(k)]
-    if k <= 3:   # the closed form of the module docstring
+    if k <= 3:   # the closed form of the module docstring, in any level order
         moves, reinserted = [0] * k, [0] * k
         D = 0   # L1 distance of level 2's sorted child counts, padded with zeros
         if k == 3:
-            n = max(sizes_a[1], sizes_b[1])
-            counts_a = sorted(shape_a[1] + (0,) * (n - sizes_a[1]))
-            counts_b = sorted(shape_b[1] + (0,) * (n - sizes_b[1]))
-            D = sum(abs(x - y) for x, y in zip(counts_a, counts_b))
+            n = max(sizes[0][1], sizes[1][1])
+            level_a = sorted(counts_1[1] + (0,) * (n - sizes[0][1]))
+            level_b = sorted(counts_2[1] + (0,) * (n - sizes[1][1]))
+            D = sum(abs(x - y) for x, y in zip(level_a, level_b))
             # every optimum re-parents as many level-3 nodes, each at one price
             if reinsert[1]:
                 reinserted[2] = (D - P[2]) // 2
@@ -367,7 +381,16 @@ def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
         return _result(leaf_w, move_w, sizes, P, [P[1] if k > 1 else 0, D, 0][:k],
                        moves, reinserted)
 
-    leaf, move, dtype = _search_costs(leaf_w, move_w)
+    # the level search reads node order (tie-breaks, capped tie search), so it
+    # runs on the canonical shapes; fixing an internal order makes symmetry exact
+    lit1, shape_a = canonical_form(t1)
+    lit2, shape_b = canonical_form(t2)
+    sizes_a, sizes_b = sizes
+    if lit1 > lit2:
+        shape_a, shape_b, sizes_a, sizes_b = shape_b, shape_a, sizes_b, sizes_a
+    shape_a += ((),) * (k - len(shape_a))
+    shape_b += ((),) * (k - len(shape_b))
+    leaf, move, dtype, _ = _search_costs(leaf_w, move_w)
     # spans_a[i]: each level-i node's children, as an index range one level down
     spans_a = [_spans(counts) for counts in shape_a]
     spans_b = [_spans(counts) for counts in shape_b]

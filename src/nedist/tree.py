@@ -24,6 +24,7 @@ class LevelTree:
     levels: list[list[TreeNode]]
     _canon: str | None = field(default=None, repr=False, compare=False)
     _shape: tuple | None = field(default=None, repr=False, compare=False)
+    _counts: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def depth(self) -> int:
@@ -41,6 +42,19 @@ class LevelTree:
             for node in self.levels[li]:
                 if node.parent is None or not 0 <= node.parent < prev:
                     raise UsageError(f"bad parent reference at level {li + 1}")
+
+    def child_counts(self) -> tuple[tuple[int, ...], ...]:
+        """Per level, each node's number of children in stored level order
+        (the last level's are all 0), memoized.  Unlike ``canonical_form`` it
+        needs no AHU pass; a malformed tree raises UsageError."""
+        if self._counts is None:
+            self.validate()
+            counts = [[0] * len(level) for level in self.levels]
+            for below, level in zip(counts, self.levels[1:]):
+                for node in level:
+                    below[node.parent] += 1
+            self._counts = tuple(map(tuple, counts))
+        return self._counts
 
     def canonical_literal(self) -> str:
         """AHU canonical form: equal strings iff the trees are isomorphic."""

@@ -1,39 +1,52 @@
-"""Vantage-point tree index over node neighborhood signatures.
+"""Exact kNN and range queries over distinct signatures, filtered by a
+lower bound on TED*.
 
-Pruning uses only the triangle inequality of the underlying distance, so a
-query returns what a linear scan would only where the distance satisfies
-it.  TED* can break it (README, "Known limitation"): on criterion 1's pool
-(``random.Random(11)``) under ``W_PLUS``, ``VpIndex(pool, distance,
-seed=12).knn(pool[23], 3)`` gives ``[(23, 0), (44, 13), (58, 13)]``, a
-linear scan ``[(23, 0), (35, 13), (44, 13)]``.  Entries are (internal node
-index, signature); ties at equal distance resolve by ascending node index.
+Nodes with isomorphic signatures are at one distance from any query, so the
+index groups them, each group's members in ascending node index.  A query
+computes a lower bound LB for every group, refines groups with the distance
+in ascending LB, and expands each refined group's members, so that results
+and their tie order equal ``linear_scan``'s.  Pruning relies only on
+LB <= distance, so a query is exact for the shipped distance whether or not
+it is a metric.  TED* can break the triangle inequality at depth 4 or more,
+and a vantage-point tree, which prunes by it, then misses neighbors: on
+criterion 1's pool (``random.Random(11)``) under ``W_PLUS`` it answered
+``knn(pool[23], 3)`` with ``[(23, 0), (44, 13), (58, 13)]``, where a linear
+scan, and this index, give ``[(23, 0), (35, 13), (44, 13)]``.
+
+The bound (``SignatureBound``) reads each level's size n_i and child counts.
+With A_i(t) the number of level-i nodes with at least t children,
+c_i = min(move(i), 2 leaf(i + 1)) and c_0 = 0,
+
+    2 LB = sum_i (2 leaf(i) - c_(i-1)) |n_i - n'_i|
+           + sum_i c_i sum_t |A_i(t) - B_i(t)|
+
+and a directed signature adds its in-tree and out-tree bounds.  The inner
+sum over t is the L1 distance D_i of the two levels' child counts, each
+sorted and padded with zeros.  At depth <= 3 LB is TED*'s closed form
+(``nedist.ted``).  At any depth LB <= TED*: each level's matching
+re-parents at least (D_i - P_(i+1)) / 2 children, with P_(i+1) the padding
+one level down, and each costs at least c_i, a move or a delete and
+re-insert.  Integer and Fraction weights give the bound in exact scaled
+integers; float weights only order the refinement, since a rounded LB can
+sit above a rounded distance, so a float index prunes no group.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import numbers
-import random
-from dataclasses import dataclass
+from collections import Counter
+from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
+
+import numpy as np
 
 from .errors import UsageError, check_count
 from .graph import Graph
-from .ned import TreeDistanceCache, signature, signature_distance
-
-LEAF_BUCKET = 16
-
-
-@dataclass
-class _Inner:
-    vantage: int          # entry index
-    mu: object            # median radius; inner side holds d <= mu
-    inner: object
-    outer: object
-
-
-@dataclass
-class _Leaf:
-    entries: list[int]    # entry indices
+from .ned import TreeDistanceCache, _signature_groups, signature, signature_distance
+from .ted import bound_weights
 
 
 def _check_radius(r):
@@ -42,113 +55,157 @@ def _check_radius(r):
         raise UsageError(f"radius must be a real number >= 0, got {r!r}")
 
 
-class VpIndex:
-    """Metric index over a fixed entry list.
+def _trees(sig) -> tuple:
+    """The trees of a signature: an (in, out) pair, or one tree."""
+    return sig if isinstance(sig, tuple) else (sig,)
 
-    ``items`` is a list of signatures; ``distance`` a metric over them, or
-    queries may differ from ``linear_scan``.  Construction is seeded and
-    deterministic.
+
+class SignatureBound:
+    """TED*'s lower bound from a query signature to each of ``reps``, under
+    ``weights``, over levels 1..k.
+
+    Calling it with a query returns one value per representative: ``unit``
+    times its LB, an integer where ``exact``.  Levels deeper than k add
+    nothing, so a query deeper than k gets a lower LB.
     """
 
-    def __init__(self, items, distance, seed: int = 0, labels=None,
-                 bucket_size: int = LEAF_BUCKET):
+    def __init__(self, reps, weights, k: int):
+        if not reps:
+            raise UsageError("cannot bound against zero signatures")
+        reps = [_trees(s) for s in reps]
+        size, count, self.unit, self.exact = bound_weights(weights, check_count(k, "k"))
+        self.k = k
+        # per tree of a signature, per level 1..k - 1, the widest child count
+        self._widths = [[max((max(trees[side].child_counts()[i], default=0)
+                              for trees in reps if i < trees[side].depth), default=0)
+                         for i in range(k - 1)]
+                        for side in range(len(reps[0]))]
+        # the weight of each column, in the order _vector writes them: a level's
+        # size, then its A_i(t) and the counts' excess over the widest
+        w = []
+        for widths in self._widths:
+            for i in range(k):
+                w.append(size[i])
+                w += [count[i]] * (widths[i] + 1) if i < k - 1 else []
+        self._weights = np.array(w, dtype=(float if not self.exact else
+                                           np.int64 if max(w) < 2 ** 63 else object))
+        self._rows = np.array([self._vector(trees) for trees in reps], dtype=np.int64)
+        # an LB is at most the top weight times a row's and the query's sums
+        self._top_weight = max(w)
+        self._top_row = int(self._rows.sum(axis=1).max())
+
+    def _vector(self, trees) -> list[int]:
+        v = []
+        for t, widths in zip(trees, self._widths):
+            counts = t.child_counts()
+            for i in range(self.k):
+                level = counts[i] if i < len(counts) else ()
+                v.append(len(level))
+                if i < len(widths):   # A_i(1..top), then the counts' excess over top
+                    top = widths[i]
+                    hist = Counter(level)
+                    wider = [(x, m) for x, m in hist.items() if x > top]
+                    n = sum(m for _, m in wider)
+                    at_least = []
+                    for x in range(top, 0, -1):
+                        n += hist[x]
+                        at_least.append(n)
+                    v += reversed(at_least)
+                    v.append(sum((x - top) * m for x, m in wider))
+        return v
+
+    def __call__(self, query) -> np.ndarray:
+        q = self._vector(_trees(query))
+        w = self._weights
+        if self.exact and self._top_weight * (self._top_row + sum(q)) >= 2 ** 63:
+            w = w.astype(object)   # Python ints: exact past int64
+        return np.abs(self._rows - np.array(q, dtype=np.int64)) @ w
+
+
+class VpIndex:
+    """Exact kNN and range queries over a fixed entry list.
+
+    ``items`` are the entries and ``distance`` a function of a query and an
+    entry.  ``groups`` partitions the entry indices into ascending lists
+    whose entries are at one distance from every query (one group per entry
+    when None).  ``bound`` maps a query to one lower bound per group on
+    ``bound.unit`` times that distance; where ``bound.exact`` is false it
+    only orders the groups, and without a bound every group is refined.
+    """
+
+    def __init__(self, items, distance, groups=None, bound=None, labels=None):
         if not items:
             raise UsageError("cannot build an index over zero entries")
         self.items = list(items)
         self.labels = labels if labels is not None else list(range(len(items)))
         self._distance = distance
-        self.bucket_size = check_count(bucket_size, "bucket_size")
-        self.eval_count = 0
-        rng = random.Random(seed)
-        self.root = self._build(list(range(len(self.items))), rng)
+        self.groups = ([[i] for i in range(len(self.items))] if groups is None
+                       else [list(m) for m in groups])
+        if (sorted(i for m in self.groups for i in m) != list(range(len(self.items)))
+                or any(m != sorted(m) for m in self.groups)):
+            raise UsageError("groups must split the entry indices into ascending lists")
+        self._bound = bound
+        self.eval_count = 0   # groups refined by all queries
 
-    # -- construction ---------------------------------------------------
+    def _candidates(self, query):
+        """(LB, group) in ascending LB; LB is None where it cannot prune."""
+        if self._bound is None:
+            return [(None, g) for g in range(len(self.groups))]
+        lbs = np.asarray(self._bound(query))
+        order = np.argsort(lbs, kind="stable")
+        if not self._bound.exact:
+            return [(None, g) for g in order.tolist()]
+        return zip(lbs[order].tolist(), order.tolist())
 
-    def _d(self, item, idx: int):
+    def _refine(self, query, g):
         self.eval_count += 1
-        return self._distance(item, self.items[idx])
-
-    def _build(self, idxs: list[int], rng: random.Random):
-        if len(idxs) <= self.bucket_size:
-            return _Leaf(idxs)
-        vantage = idxs[rng.randrange(len(idxs))]
-        rest = [i for i in idxs if i != vantage]
-        dists = [(self._d(self.items[vantage], i), i) for i in rest]
-        dists.sort(key=lambda t: (t[0], t[1]))
-        mu = dists[(len(dists) - 1) // 2][0]   # median, ties to the inner side
-        inner = [i for d, i in dists if d <= mu]
-        outer = [i for d, i in dists if d > mu]
-        if not outer:
-            # all remaining entries tie at mu; a leaf avoids infinite recursion
-            return _Leaf([vantage] + inner)
-        return _Inner(vantage, mu, self._build(inner, rng), self._build(outer, rng))
-
-    # -- queries --------------------------------------------------------
+        return self._distance(query, self.items[self.groups[g][0]])
 
     def knn(self, query, l: int):
         """The l nearest entries, ascending by (distance, node index).
 
         Returns (results, evaluations) where results is a list of
-        (label, distance) and evaluations counts distance computations this
-        query performed.  l larger than the index returns everything.
+        (label, distance) and evaluations counts the groups this query
+        refined.  l larger than the index returns everything.
         """
         check_count(l, "l")
         start = self.eval_count
-        heap: list[tuple] = []   # max-heap via negated (distance, idx)
-
-        def offer(idx, d):
-            entry = (d, idx)
-            if len(heap) < l:
-                heapq.heappush(heap, (-d, -idx))
-            elif entry < (-heap[0][0], -heap[0][1]):
-                heapq.heapreplace(heap, (-d, -idx))
-
-        # near child first; a child's bound is checked when it is popped, the
-        # far child's after the near subtree (a stack leaves no reference cycle)
-        stack = [(self.root, None)]
-        while stack:
-            node, bound = stack.pop()
-            if bound is not None and len(heap) == l and bound > -heap[0][0]:
-                continue
-            if isinstance(node, _Leaf):
-                for idx in node.entries:
-                    offer(idx, self._d(query, idx))
-                continue
-            d = self._d(query, node.vantage)
-            offer(node.vantage, d)
-            inner, outer = (node.inner, d - node.mu), (node.outer, node.mu - d)
-            stack += (outer, inner) if d <= node.mu else (inner, outer)
-
-        results = sorted(((-nd, -ni) for nd, ni in heap))
-        return ([(self.labels[i], d) for d, i in results],
+        heap: list[tuple] = []   # the best l, a max-heap via negated (distance, idx)
+        for lb, g in self._candidates(query):
+            # ties at the l-th distance are refined: one may hold a lower index
+            if lb is not None and len(heap) == l and lb > self._bound.unit * -heap[0][0]:
+                break
+            d = self._refine(query, g)
+            for idx in self.groups[g][:l]:
+                if len(heap) < l:
+                    heapq.heappush(heap, (-d, -idx))
+                elif (d, idx) < (-heap[0][0], -heap[0][1]):
+                    heapq.heapreplace(heap, (-d, -idx))
+                else:
+                    break   # the group's later members rank lower still
+        return ([(self.labels[-ni], -nd) for nd, ni in sorted(heap, reverse=True)],
                 self.eval_count - start)
 
     def range_query(self, query, r):
         """All entries within distance r, ascending by (distance, node index)."""
         _check_radius(r)
         start = self.eval_count
-        out = []
-
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _Leaf):
-                for idx in node.entries:
-                    d = self._d(query, idx)
-                    if d <= r:
-                        out.append((d, idx))
-                continue
-            d = self._d(query, node.vantage)
+        if self._bound is not None:   # r on the bound's scale, exactly
+            exact_r = r if isinstance(r, numbers.Rational) or math.isinf(r) else Fraction(float(r))
+            limit = self._bound.unit * exact_r
+        hits = []
+        for lb, g in self._candidates(query):
+            if lb is not None and lb > limit:
+                break
+            d = self._refine(query, g)
             if d <= r:
-                out.append((d, node.vantage))
-            if node.mu - d <= r:
-                stack.append(node.outer)
-            if d - node.mu <= r:
-                stack.append(node.inner)
-
-        out.sort()
-        return ([(self.labels[i], d) for d, i in out],
-                self.eval_count - start)
+                hits.append((d, g))
+        out = []
+        for d, same in groupby(sorted(hits), key=itemgetter(0)):
+            members = [self.groups[g] for _, g in same]
+            out += [(self.labels[i], d)
+                    for i in (members[0] if len(members) == 1 else heapq.merge(*members))]
+        return out, self.eval_count - start
 
     def linear_scan(self, query, l=None, r=None):
         """Reference scan over every entry (used to verify exactness)."""
@@ -174,10 +231,15 @@ def build_index(g: Graph, k: int, seed: int = 0,
     the weight scheme of ``cache`` (a new unit cache when None).
 
     Directed graphs are indexed under the directed node distance (sum of the
-    incoming-tree and outgoing-tree distances).
+    incoming-tree and outgoing-tree distances).  ``seed`` is accepted for
+    callers of the former VP-tree; results no longer depend on it.
     """
     if g.n == 0:
         raise UsageError("cannot index an empty graph")
+    cache = cache or TreeDistanceCache()
+    groups = _signature_groups(g, range(g.n), k)
     return VpIndex([signature(g, v, k) for v in range(g.n)],
-                   signature_distance(g.directed, (cache or TreeDistanceCache()).distance),
-                   seed=seed, labels=g.labels)
+                   signature_distance(g.directed, cache.distance),
+                   [members for _, members in groups],
+                   SignatureBound([s for s, _ in groups], cache.weights, k),
+                   labels=g.labels)

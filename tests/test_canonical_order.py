@@ -10,6 +10,7 @@ import random
 import pytest
 
 import nedist.tree as tree_module
+from nedist.errors import UsageError
 from nedist.cli import run
 from nedist.experiments import random_graph, random_tree
 from nedist.graph import build_graph
@@ -117,6 +118,20 @@ def test_ted_star_canonizes_each_tree_once(ahu_calls):
         ted_star(a, b, w)
         ted_star(b, a, w)
     assert len(ahu_calls) == 2
+
+
+def test_depth_three_ted_star_runs_no_canonical_pass(ahu_calls):
+    rng = random.Random(6)
+    a, b = random_tree(40, 3, rng), random_tree(50, 3, rng)
+    for w in (UNIT, W_PLUS):
+        assert ted_star(a, b, w)[0] == ted_star(rendering(b, rng), a, w)[0]
+    assert ahu_calls == []
+    # a malformed tree is still refused: a second root, a parent out of range
+    for bad in (LevelTree([[TreeNode(None), TreeNode(None)]]),
+                LevelTree([[TreeNode(None)], [TreeNode(0)], [TreeNode(1)]])):
+        for t1, t2 in ((bad, a), (a, bad)):
+            with pytest.raises(UsageError):
+                ted_star(t1, t2)
 
 
 def test_cached_distance_canonizes_each_tree_once(ahu_calls):

@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -247,3 +251,51 @@ def test_k_effect_counts():
     assert rows[0]["mean_nn0"] == g2.n   # depth-1 trees are all identical
     nn0 = [r["mean_nn0"] for r in rows]
     assert all(x >= y for x, y in zip(nn0, nn0[1:]))
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_bounded(*argv):
+    """Run a fresh interpreter on ``src``; a stall fails the test after 60 s
+    (subprocess.TimeoutExpired) instead of hanging the suite."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          timeout=60, env=env)
+
+
+def test_perturb_refuses_a_graph_without_enough_absent_pairs():
+    # a triangle, and a directed 2-cycle, have no absent pair; the insertion
+    # loop once drew forever
+    done = run_bounded("-c", (
+        "from nedist import AnonymizationSpec, UsageError, anonymize, parse_edge_list\n"
+        "for text, directed in (('a b\\na c\\nb c\\n', False), ('a b\\nb a\\n', True)):\n"
+        "    try:\n"
+        "        g = parse_edge_list(text, directed)\n"
+        "        anonymize(g, AnonymizationSpec('perturb', 0.5, 1))\n"
+        "    except UsageError as exc:\n"
+        "        print('refused:', exc)\n"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (
+        "refused: perturb needs 2 absent node pairs to insert, the graph has 0\n"
+        "refused: perturb needs 1 absent node pairs to insert, the graph has 0\n")
+
+
+def test_cli_deanon_perturb_on_a_complete_graph_is_a_usage_error(tmp_path):
+    path = tmp_path / "k6.el"
+    path.write_text("".join(f"v{i} v{j}\n" for i in range(6) for j in range(i + 1, 6)))
+    done = run_bounded("-m", "nedist.cli", "deanon", "--graph", str(path), "--method",
+                       "perturb", "--p", "0.2", "--k", "2", "-l", "1")
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: perturb needs 3 absent node pairs")
+
+
+def test_perturb_inserts_into_the_last_absent_pairs():
+    path = parse_edge_list("a b\nb c\n")   # one absent pair, a c
+    anon, truth = anonymize(path, AnonymizationSpec("perturb", 0.5, 3))
+    assert len(list(anon.edges())) == 2
+    cycle = parse_edge_list("a b\nb c\nc a\n", directed=True)   # three absent pairs
+    anon, _ = anonymize(cycle, AnonymizationSpec("perturb", 1.0, 3))
+    assert len(list(anon.edges())) == 3
