@@ -190,6 +190,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--tie-policy", choices=("inclusive", "exclusive"),
                    default="inclusive")
     p.add_argument("--ranker", choices=("ned", "degree"), default="ned")
+    p.add_argument("--count-evals", action="store_true")
 
     p = sub.add_parser("study", help="batch experiment harnesses")
     p.set_defaults(handler=_cmd_study)
@@ -318,6 +319,8 @@ def _cmd_deanon(args, emit, fmt):
     lines.append(f"precision {report.precision:.4f} "
                  f"(l={report.l} k={report.k} queries={report.sample_size} "
                  f"ties={report.tie_policy} ranker={report.method})")
+    if args.count_evals:
+        lines.append(f"evaluations {report.evaluations} of {report.sample_size * g.n}")
     emit(lines)
 
 

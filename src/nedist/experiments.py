@@ -13,7 +13,7 @@ import numbers
 import random
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import UsageError, check_count
 from .graph import Graph, build_graph
@@ -21,6 +21,7 @@ from .ned import TreeDistanceCache, signature, signature_distance, tree_for
 from .oracle import enumerate_trees, exact_unordered_ted
 from .ted import ted_star_distance_only
 from .tree import LevelTree, TreeNode
+from .vptree import VpIndex, build_index
 
 ANON_METHODS = ("naive", "sparsify", "perturb")
 
@@ -168,6 +169,10 @@ class DeanonReport:
     sample_size: int
     tie_policy: str
     method: str
+    # distances the ranker computed over all queries: signature groups the
+    # index refined, or every (query, training node) pair for the degree
+    # ranker; a cost, not a result, so it stays out of repr and ==
+    evaluations: int = field(default=0, repr=False, compare=False)
 
     @property
     def precision(self) -> float:
@@ -203,16 +208,34 @@ def _degree_distance_fn(train: Graph, anon: Graph):
     return dist
 
 
+def _index_for(g: Graph, k: int, cache: TreeDistanceCache) -> VpIndex:
+    """``build_index(g, k, cache=cache)``, built once per graph, k and cache
+    and kept in the graph's memo next to its neighborhood trees."""
+    key = ("index", k, cache)
+    index = g._tree_cache.get(key)
+    if index is None:
+        index = g._tree_cache[key] = build_index(g, k, cache=cache)
+    return index
+
+
 def deanonymize(train: Graph, anon: Graph, truth: dict, k: int, l: int,
                 sample_size: int | None = None, seed: int = 0,
                 tie_policy: str = "inclusive", method: str = "ned",
                 cache: TreeDistanceCache | None = None) -> DeanonReport:
     """Rank training nodes against each sampled anonymous node.
 
-    A query is a hit when its true identity lands within the top l; with the
-    inclusive tie policy every node tied with the l-th distance also counts
-    as inside the cutoff.  The ned ranker uses the weight scheme of
-    ``cache`` (a new unit cache when None).
+    Training nodes rank by (distance, label).  A row's ``rank`` is the true
+    node's 1-based position in that order and ``top_distances`` the first l
+    distances.  A query is a hit when its true identity lands within the top
+    l; with the inclusive tie policy (and l no larger than the training
+    graph) it is a hit when the true node's distance is at most the l-th.
+
+    The ned ranker uses the weight scheme of ``cache`` (a new unit cache when
+    None) and queries the exact signature index of ``train``
+    (``build_index``): a kNN query for the top l, and a range query up to the
+    true node's distance for its rank, so only signatures whose lower bound
+    can rank are refined.  The index is built once per training graph, k and
+    given cache, and later calls with the same three reuse it.
     """
     check_count(k, "k")
     check_count(l, "l")
@@ -235,35 +258,45 @@ def deanonymize(train: Graph, anon: Graph, truth: dict, k: int, l: int,
             raise UsageError(f"truth map gives no training node for {anon.labels[u]!r}")
 
     if method == "ned":
-        # each signature is looked up once per call, not once per pair
-        distance = signature_distance(train.directed, (cache or TreeDistanceCache()).distance)
-        train_sigs = [signature(train, v, k) for v in range(train.n)]
+        if cache is None:   # a cache no later call can pass: nothing to keep
+            cache = TreeDistanceCache()
+            index = build_index(train, k, cache=cache)
+        else:
+            index = _index_for(train, k, cache)
+        distance = signature_distance(train.directed, cache.distance)
+        start = index.eval_count
 
-        def distances(u):
+        def rank_query(u, true_id):
             s = signature(anon, u, k)
-            return [distance(s, t) for t in train_sigs]
+            d_true = distance(s, signature(train, true_id, k))
+            within, _ = index.range_query(s, d_true)
+            rank = 1 + sum(1 for lab, d in within
+                           if d < d_true or (d == d_true and lab < true_id))
+            return rank, d_true, [d for _, d in index.knn(s, l)[0]]
     else:
         dist = _degree_distance_fn(train, anon)
 
-        def distances(u):
-            return [dist(u, v) for v in range(train.n)]
+        def rank_query(u, true_id):
+            ranked = sorted((dist(u, v), lab) for v, lab in enumerate(train.labels))
+            rank = next(i for i, (_, lab) in enumerate(ranked, start=1)
+                        if lab == true_id)
+            return rank, ranked[rank - 1][0], [d for d, _ in ranked[:l]]
 
     rows = []
     for u in queries:
-        ranked = sorted(zip(distances(u), train.labels))
         true_id = truth[anon.labels[u]]
-        rank = next(i for i, (_, lab) in enumerate(ranked, start=1)
-                    if lab == true_id)
-        if tie_policy == "inclusive" and l <= len(ranked):
-            cutoff = ranked[l - 1][0]
-            hit = ranked[rank - 1][0] <= cutoff
+        rank, d_true, top = rank_query(u, true_id)
+        if tie_policy == "inclusive" and l <= train.n:
+            hit = d_true <= top[l - 1]
         else:
             hit = rank <= l
         rows.append(DeanonRow(anon_node=anon.labels[u], true_id=true_id,
-                              rank=rank, hit=hit,
-                              top_distances=[d for d, _ in ranked[:l]]))
+                              rank=rank, hit=hit, top_distances=top))
+    evaluations = (index.eval_count - start if method == "ned"
+                   else len(queries) * train.n)
     return DeanonReport(rows=rows, k=k, l=l, sample_size=len(queries),
-                        tie_policy=tie_policy, method=method)
+                        tie_policy=tie_policy, method=method,
+                        evaluations=evaluations)
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +391,13 @@ def k_effect_study(g1: Graph, g2: Graph, num_queries: int, k_range=range(1, 7),
                    l: int = 5, seed: int = 0) -> list[dict]:
     """Per-k counts of distance-0 nearest neighbors and top-l cutoff ties.
 
-    Queries are seeded nodes of g1 ranked against all nodes of g2.  Columns:
-    k, queries, mean_nn0 (average number of distance-0 matches), mean_ties
-    (average candidates tied at the l-th distance beyond the first l).
+    Queries are seeded nodes of g1 ranked against all nodes of g2 through
+    one exact signature index of g2 per k (``build_index``): a range query at
+    radius 0 counts the distance-0 matches, and a kNN query for the l-th
+    distance, then a range query up to it, counts the ties.  Columns: k,
+    queries, mean_nn0 (average number of distance-0 matches), mean_ties
+    (average candidates tied at the l-th distance beyond the first l; 0 when
+    l exceeds g2's node count).
     """
     if g1.directed or g2.directed:
         raise UsageError("k_effect_study expects undirected graphs")
@@ -376,16 +413,15 @@ def k_effect_study(g1: Graph, g2: Graph, num_queries: int, k_range=range(1, 7),
     cache = TreeDistanceCache()
     rows = []
     for k in k_range:
+        index = build_index(g2, k, cache=cache)
         nn0_counts = []
         tie_counts = []
         for u in queries:
             tu = tree_for(g1, u, k)
-            dists = sorted(cache.distance(tu, tree_for(g2, v, k))
-                           for v in range(g2.n))
-            nn0_counts.append(sum(1 for d in dists if d == 0))
-            if l <= len(dists):
-                cutoff = dists[l - 1]
-                tie_counts.append(sum(1 for d in dists if d <= cutoff) - l)
+            nn0_counts.append(len(index.range_query(tu, 0)[0]))
+            if l <= g2.n:
+                cutoff = index.knn(tu, l)[0][-1][1]
+                tie_counts.append(len(index.range_query(tu, cutoff)[0]) - l)
             else:
                 tie_counts.append(0)
         rows.append({

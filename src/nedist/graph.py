@@ -23,7 +23,8 @@ class Graph:
     adj: list[list[int]]              # sorted neighbors (out-neighbors if directed)
     radj: list[list[int]] | None = None   # sorted in-neighbors, directed only
     index: dict[str, int] = field(default_factory=dict)
-    # per-process memo for extracted neighborhood trees, see ned.tree_for
+    # per-process memo for extracted neighborhood trees (ned.tree_for) and
+    # the indexes deanonymize ranks through (experiments._index_for)
     _tree_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property

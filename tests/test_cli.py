@@ -130,6 +130,33 @@ def test_deanon(graph_file, capsys):
                 "--sample", "0"]) == 1
 
 
+DEANON_EL = "a b\na c\nb c\nc d\nd e\ne f\nf g\ng h\nc f\n"
+DEANON_CSV = """anon_node,true_id,rank,hit
+n0,d,4,1
+n1,g,7,1
+n2,b,3,1
+n3,f,1,1
+n4,h,7,0
+n5,a,2,1
+n6,e,4,1
+n7,c,4,1
+precision 0.8750 (l=2 k=2 queries=8 ties=inclusive ranker=ned)
+"""
+
+
+def test_deanon_csv_and_evaluation_count(tmp_path, capsys):
+    path = tmp_path / "deanon.el"
+    path.write_text(DEANON_EL)
+    argv = ["deanon", "--graph", str(path), "--method", "perturb", "--p", "0.2",
+            "--k", "2", "-l", "2", "--seed", "1", "--format", "csv"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == DEANON_CSV
+    assert run(argv + ["--count-evals"]) == 0
+    assert capsys.readouterr().out == DEANON_CSV + "evaluations 36 of 64\n"
+    assert run(argv + ["--count-evals", "--ranker", "degree"]) == 0
+    assert capsys.readouterr().out.endswith("ranker=degree)\nevaluations 64 of 64\n")
+
+
 def test_study_k_effect_rejects_zero_queries(capsys):
     assert run(["study", "k-effect", "--nodes", "10", "--edges", "15",
                 "--queries", "0"]) == 1

@@ -1,7 +1,9 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,10 +19,19 @@ from nedist.experiments import (
     scaling_study,
     ted_closeness_study,
 )
+from nedist import experiments
 from nedist.graph import parse_edge_list
-from nedist.ned import TreeDistanceCache, tree_for
-from nedist.ted import W_PLUS
+from nedist.ned import TreeDistanceCache, signature, signature_distance, tree_for
+from nedist.ted import UNIT, W_PLUS, WeightScheme
 from nedist.oracle import enumerate_trees
+
+REFERENCE_SCHEMES = {
+    "unit": UNIT,
+    "wplus": W_PLUS,
+    "float": WeightScheme(leaf=lambda lv: 0.1 * lv + 0.07, move=lambda lv: 0.3 * lv + 0.11),
+    "fraction": WeightScheme(leaf=lambda lv: Fraction(lv, 3),
+                             move=lambda lv: Fraction(2 * lv + 1, 7)),
+}
 
 
 def test_spec_validation():
@@ -169,6 +180,74 @@ def test_deanonymize_takes_its_scheme_from_the_cache():
     assert weighted.rows != unit.rows
 
 
+def reference_deanonymize(train, anon, truth, k, l, sample_size, seed, tie_policy, cache):
+    """deanonymize's ned rows from a sort of every (distance, label)."""
+    distance = signature_distance(train.directed, cache.distance)
+    queries = sorted(random.Random(seed).sample(range(anon.n), sample_size))
+    rows = []
+    for u in queries:
+        s = signature(anon, u, k)
+        ranked = sorted((distance(s, signature(train, v, k)), lab)
+                        for v, lab in enumerate(train.labels))
+        true_id = truth[anon.labels[u]]
+        rank = [lab for _, lab in ranked].index(true_id) + 1
+        if tie_policy == "inclusive" and l <= len(ranked):
+            hit = ranked[rank - 1][0] <= ranked[l - 1][0]
+        else:
+            hit = rank <= l
+        rows.append(experiments.DeanonRow(anon.labels[u], true_id, rank, hit,
+                                          [d for d, _ in ranked[:l]]))
+    return rows
+
+
+@pytest.mark.parametrize("scheme", sorted(REFERENCE_SCHEMES))
+@pytest.mark.parametrize("directed", [False, True])
+def test_deanonymize_equals_a_full_sort(directed, scheme):
+    # at k = 4 the index's lower bound sits below TED* for some pairs, so
+    # that depth also checks the refinement past the bound's first guess
+    w = REFERENCE_SCHEMES[scheme]
+    g = random_graph(40, 75, seed=21, directed=directed)
+    anon, truth = anonymize(g, AnonymizationSpec("perturb", p=0.15, seed=22))
+    cache = TreeDistanceCache(w)
+    for k in (2, 3, 4):
+        for tie_policy in ("inclusive", "exclusive"):
+            for l in (1, 5, g.n + 10):
+                report = deanonymize(g, anon, truth, k=k, l=l, sample_size=10,
+                                     seed=k + l, tie_policy=tie_policy, cache=cache)
+                expected = reference_deanonymize(g, anon, truth, k, l, 10, k + l,
+                                                 tie_policy, TreeDistanceCache(w))
+                assert repr(report.rows) == repr(expected), (k, tie_policy, l)
+                assert [[type(d) for d in r.top_distances] for r in report.rows] == \
+                    [[type(d) for d in r.top_distances] for r in expected]
+
+
+def test_deanonymize_builds_one_index_per_graph_k_and_cache(monkeypatch):
+    built = []
+    build_index = experiments.build_index
+
+    def counting_build_index(g, k, seed=0, cache=None):
+        built.append((g, k, cache))
+        return build_index(g, k, seed, cache)
+
+    monkeypatch.setattr(experiments, "build_index", counting_build_index)
+    g = random_graph(30, 60, seed=10)
+    anon, truth = anonymize(g, AnonymizationSpec("perturb", p=0.1, seed=11))
+    cache, other = TreeDistanceCache(), TreeDistanceCache()
+    first = deanonymize(g, anon, truth, k=3, l=2, sample_size=5, seed=1, cache=cache)
+    again = deanonymize(g, anon, truth, k=3, l=2, sample_size=5, seed=1, cache=cache)
+    assert built == [(g, 3, cache)]
+    assert again.rows == first.rows and again.evaluations == first.evaluations > 0
+    deanonymize(g, anon, truth, k=3, l=2, sample_size=5, seed=1, cache=other)
+    deanonymize(g, anon, truth, k=2, l=2, sample_size=5, seed=1, cache=cache)
+    assert built == [(g, 3, cache), (g, 3, other), (g, 2, cache)]
+    deanonymize(g, anon, truth, k=3, l=2, sample_size=5, seed=1, cache=other)
+    assert len(built) == 3
+    # without a cache there is nothing a later call could share
+    deanonymize(g, anon, truth, k=3, l=2, sample_size=5, seed=1)
+    deanonymize(g, anon, truth, k=3, l=2, sample_size=5, seed=1)
+    assert len(built) == 5
+
+
 def test_degree_baseline_runs():
     g = random_graph(40, 80, seed=10)
     anon, truth = anonymize(g, AnonymizationSpec("naive", seed=11))
@@ -251,6 +330,24 @@ def test_k_effect_counts():
     assert rows[0]["mean_nn0"] == g2.n   # depth-1 trees are all identical
     nn0 = [r["mean_nn0"] for r in rows]
     assert all(x >= y for x, y in zip(nn0, nn0[1:]))
+
+
+@pytest.mark.parametrize("l", [1, 5, 60])
+def test_k_effect_equals_a_full_sort(l):
+    g1 = random_graph(40, 80, seed=13)
+    g2 = random_graph(45, 90, seed=14)
+    rows = k_effect_study(g1, g2, num_queries=12, k_range=range(1, 5), l=l, seed=3)
+    queries = sorted(random.Random(3).sample(range(g1.n), 12))
+    cache = TreeDistanceCache()
+    for row, k in zip(rows, range(1, 5)):
+        nn0, ties = [], []
+        for u in queries:
+            dists = sorted(cache.distance(tree_for(g1, u, k), tree_for(g2, v, k))
+                           for v in range(g2.n))
+            nn0.append(dists.count(0))
+            ties.append(sum(d <= dists[l - 1] for d in dists) - l if l <= g2.n else 0)
+        assert row == {"k": k, "queries": 12, "mean_nn0": sum(nn0) / 12,
+                       "mean_ties": sum(ties) / 12}
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
