@@ -231,10 +231,10 @@ def deanonymize(train: Graph, anon: Graph, truth: dict, k: int, l: int,
     graph) it is a hit when the true node's distance is at most the l-th.
 
     The ned ranker uses the weight scheme of ``cache`` (a new unit cache when
-    None) and queries the exact signature index of ``train``
-    (``build_index``): a kNN query for the top l, and a range query up to the
-    true node's distance for its rank, so only signatures whose lower bound
-    can rank are refined.  The index is built once per training graph, k and
+    None) and walks the exact signature index of ``train`` (``build_index``)
+    nearest first, once per query, until it has the top l and has passed the
+    true node's distance, so only signatures whose lower bound can rank are
+    refined, each once.  The index is built once per training graph, k and
     given cache, and later calls with the same three reuse it.
     """
     check_count(k, "k")
@@ -269,10 +269,15 @@ def deanonymize(train: Graph, anon: Graph, truth: dict, k: int, l: int,
         def rank_query(u, true_id):
             s = signature(anon, u, k)
             d_true = distance(s, signature(train, true_id, k))
-            within, _ = index.range_query(s, d_true)
-            rank = 1 + sum(1 for lab, d in within
-                           if d < d_true or (d == d_true and lab < true_id))
-            return rank, d_true, [d for _, d in index.knn(s, l)[0]]
+            rank, top = 1, []
+            for d, members in index.walk(s):
+                members = list(members)
+                top += [d] * min(len(members), l - len(top))
+                rank += sum(d < d_true or (d == d_true and train.labels[i] < true_id)
+                            for i in members)
+                if d >= d_true and len(top) == l:
+                    break
+            return rank, d_true, top
     else:
         dist = _degree_distance_fn(train, anon)
 
@@ -392,12 +397,11 @@ def k_effect_study(g1: Graph, g2: Graph, num_queries: int, k_range=range(1, 7),
     """Per-k counts of distance-0 nearest neighbors and top-l cutoff ties.
 
     Queries are seeded nodes of g1 ranked against all nodes of g2 through
-    one exact signature index of g2 per k (``build_index``): a range query at
-    radius 0 counts the distance-0 matches, and a kNN query for the l-th
-    distance, then a range query up to it, counts the ties.  Columns: k,
-    queries, mean_nn0 (average number of distance-0 matches), mean_ties
-    (average candidates tied at the l-th distance beyond the first l; 0 when
-    l exceeds g2's node count).
+    one exact signature index of g2 per k (``build_index``): one walk per
+    query, nearest first, up to the distance of the l-th entry, counts both.
+    Columns: k, queries, mean_nn0 (average number of distance-0 matches),
+    mean_ties (average candidates tied at the l-th distance beyond the first
+    l; 0 when l exceeds g2's node count).
     """
     if g1.directed or g2.directed:
         raise UsageError("k_effect_study expects undirected graphs")
@@ -411,19 +415,20 @@ def k_effect_study(g1: Graph, g2: Graph, num_queries: int, k_range=range(1, 7),
     # the distance depends only on the two canonical literals, so one cache
     # serves every k
     cache = TreeDistanceCache()
+    r = 0 if l > g2.n else None   # with l past g2's size only matches count
     rows = []
     for k in k_range:
         index = build_index(g2, k, cache=cache)
-        nn0_counts = []
-        tie_counts = []
+        nn0_counts, tie_counts = [], []
         for u in queries:
-            tu = tree_for(g1, u, k)
-            nn0_counts.append(len(index.range_query(tu, 0)[0]))
-            if l <= g2.n:
-                cutoff = index.knn(tu, l)[0][-1][1]
-                tie_counts.append(len(index.range_query(tu, cutoff)[0]) - l)
-            else:
-                tie_counts.append(0)
+            nn0 = seen = 0
+            for d, members in index.walk(tree_for(g1, u, k), r):
+                seen += sum(1 for _ in members)
+                nn0 = seen if d == 0 else nn0   # only the first distance can be 0
+                if seen >= l:   # the distance of the l-th entry
+                    break
+            nn0_counts.append(nn0)
+            tie_counts.append(max(seen - l, 0))
         rows.append({
             "k": k,
             "queries": len(queries),

@@ -118,27 +118,29 @@ def hausdorff_graph_distance(a: Graph, b: Graph, k: int,
 
     Exact over all nodes by default; ``sample`` caps the node count per side
     with a seeded deterministic subset (an approximation, flagged to callers
-    by their own choice of the parameter).
+    by their own choice of the parameter).  A node's distance to the other
+    side is the first of a walk over that side's distinct signatures
+    (``VpIndex.walk``), which refines only those that can reach it.
     """
+    from .vptree import SignatureBound, VpIndex   # vptree imports this module
     if a.directed != b.directed:
         raise UsageError("graphs must both be directed or both undirected")
     if a.n == 0 or b.n == 0:
         raise UsageError("Hausdorff distance is undefined for an empty graph")
     if sample is not None:
         check_count(sample, "sample")
+    cache = cache or TreeDistanceCache()
+    dist = signature_distance(a.directed, cache.distance)
 
-    def pick(g: Graph, salt: int):
+    def signatures(g: Graph, salt: int):
         nodes = range(g.n)
         if sample is not None and sample < g.n:
-            rng = random.Random(seed * 2 + salt)
-            return rng.sample(list(nodes), sample)
-        return list(nodes)
+            nodes = random.Random(seed * 2 + salt).sample(list(nodes), sample)
+        return [s for s, _ in _signature_groups(g, nodes, k)]
 
-    sig_a = [s for s, _ in _signature_groups(a, pick(a, 0), k)]
-    sig_b = [s for s, _ in _signature_groups(b, pick(b, 1), k)]
-    dist = signature_distance(a.directed, (cache or TreeDistanceCache()).distance)
-    rows = [[dist(sa, sb) for sb in sig_b] for sa in sig_a]
-    h_ab = max(min(row) for row in rows)
-    h_ba = max(min(rows[i][j] for i in range(len(sig_a)))
-               for j in range(len(sig_b)))
-    return max(h_ab, h_ba)
+    def directed_distance(sigs_from, sigs_to):
+        index = VpIndex(sigs_to, dist, None, SignatureBound(sigs_to, cache.weights, k))
+        return max(next(index.walk(s))[0] for s in sigs_from)
+
+    sig_a, sig_b = signatures(a, 0), signatures(b, 1)
+    return max(directed_distance(sig_a, sig_b), directed_distance(sig_b, sig_a))

@@ -3,9 +3,10 @@ lower bound on TED*.
 
 Nodes with isomorphic signatures are at one distance from any query, so the
 index groups them, each group's members in ascending node index.  A query
-computes a lower bound LB for every group, refines groups with the distance
-in ascending LB, and expands each refined group's members, so that results
-and their tie order equal ``linear_scan``'s.  Pruning relies only on
+computes a lower bound LB for every group and yields the entries nearest
+first (``VpIndex.walk``), refining a group only once its LB is at most the
+next distance to yield, so results and their tie order equal
+``linear_scan``'s.  Pruning relies only on
 LB <= distance, so a query is exact for the shipped distance whether or not
 it is a metric.  TED* can break the triangle inequality at depth 4 or more,
 and a vantage-point tree, which prunes by it, then misses neighbors: on
@@ -38,8 +39,7 @@ import math
 import numbers
 from collections import Counter
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter
+from itertools import islice
 
 import numpy as np
 
@@ -130,10 +130,10 @@ class VpIndex:
     whose entries are at one distance from every query (one group per entry
     when None).  ``bound`` maps a query to one lower bound per group on
     ``bound.unit`` times that distance; where ``bound.exact`` is false it
-    only orders the groups, and without a bound every group is refined.
+    only orders the groups, and every group is refined.
     """
 
-    def __init__(self, items, distance, groups=None, bound=None, labels=None):
+    def __init__(self, items, distance, groups, bound, labels=None):
         if not items:
             raise UsageError("cannot build an index over zero entries")
         self.items = list(items)
@@ -147,22 +147,46 @@ class VpIndex:
         self._bound = bound
         self.eval_count = 0   # groups refined by all queries
 
-    def _candidates(self, query):
-        """(LB, group) in ascending LB; LB is None where it cannot prune."""
-        if self._bound is None:
-            return [(None, g) for g in range(len(self.groups))]
-        lbs = np.asarray(self._bound(query))
-        order = np.argsort(lbs, kind="stable")
-        if not self._bound.exact:
-            return [(None, g) for g in order.tolist()]
-        return zip(lbs[order].tolist(), order.tolist())
-
     def _refine(self, query, g):
         self.eval_count += 1
         return self._distance(query, self.items[self.groups[g][0]])
 
+    def walk(self, query, r=None):
+        """The entries within distance r (any, when None), nearest first:
+        (distance, entry indices) per distance, both ascending.  A group is
+        refined only once its LB is at most ``unit`` times the next distance to
+        yield and times r, so a caller that stops early refines nothing more.
+        """
+        unit = self._bound.unit
+        if r is None:
+            r = limit = math.inf
+        else:   # r on the bound's scale, exactly
+            _check_radius(r)
+            limit = unit * (r if isinstance(r, numbers.Rational) or math.isinf(r) else Fraction(float(r)))
+        lbs = np.asarray(self._bound(query))
+        order = np.argsort(lbs, kind="stable")
+        # an inexact bound only orders the groups: each is refined before any yield
+        lbs = lbs[order].tolist() if self._bound.exact else [-math.inf] * len(order)
+        order = order.tolist()
+        pending: list[tuple] = []   # refined, not yet yielded: a heap of (distance, group)
+        j = 0
+        while True:
+            while (j < len(order) and lbs[j] <= limit
+                   and not (pending and lbs[j] > unit * pending[0][0])):
+                d = self._refine(query, order[j])
+                if d <= r:
+                    heapq.heappush(pending, (d, order[j]))
+                j += 1
+            if not pending:
+                return
+            d, g = heapq.heappop(pending)
+            members = [self.groups[g]]
+            while pending and pending[0][0] == d:
+                members.append(self.groups[heapq.heappop(pending)[1]])
+            yield d, members[0] if len(members) == 1 else heapq.merge(*members)
+
     def knn(self, query, l: int):
-        """The l nearest entries, ascending by (distance, node index).
+        """The l nearest entries: the first l of ``walk``.
 
         Returns (results, evaluations) where results is a list of
         (label, distance) and evaluations counts the groups this query
@@ -170,41 +194,15 @@ class VpIndex:
         """
         check_count(l, "l")
         start = self.eval_count
-        heap: list[tuple] = []   # the best l, a max-heap via negated (distance, idx)
-        for lb, g in self._candidates(query):
-            # ties at the l-th distance are refined: one may hold a lower index
-            if lb is not None and len(heap) == l and lb > self._bound.unit * -heap[0][0]:
-                break
-            d = self._refine(query, g)
-            for idx in self.groups[g][:l]:
-                if len(heap) < l:
-                    heapq.heappush(heap, (-d, -idx))
-                elif (d, idx) < (-heap[0][0], -heap[0][1]):
-                    heapq.heapreplace(heap, (-d, -idx))
-                else:
-                    break   # the group's later members rank lower still
-        return ([(self.labels[-ni], -nd) for nd, ni in sorted(heap, reverse=True)],
-                self.eval_count - start)
+        entries = ((self.labels[i], d) for d, members in self.walk(query) for i in members)
+        return list(islice(entries, l)), self.eval_count - start
 
     def range_query(self, query, r):
-        """All entries within distance r, ascending by (distance, node index)."""
-        _check_radius(r)
+        """All entries within distance r, ascending by (distance, node index):
+        ``walk`` up to r.  Returns (results, evaluations) as ``knn`` does."""
+        _check_radius(r)   # ``walk`` reads None as no radius
         start = self.eval_count
-        if self._bound is not None:   # r on the bound's scale, exactly
-            exact_r = r if isinstance(r, numbers.Rational) or math.isinf(r) else Fraction(float(r))
-            limit = self._bound.unit * exact_r
-        hits = []
-        for lb, g in self._candidates(query):
-            if lb is not None and lb > limit:
-                break
-            d = self._refine(query, g)
-            if d <= r:
-                hits.append((d, g))
-        out = []
-        for d, same in groupby(sorted(hits), key=itemgetter(0)):
-            members = [self.groups[g] for _, g in same]
-            out += [(self.labels[i], d)
-                    for i in (members[0] if len(members) == 1 else heapq.merge(*members))]
+        out = [(self.labels[i], d) for d, members in self.walk(query, r) for i in members]
         return out, self.eval_count - start
 
     def linear_scan(self, query, l=None, r=None):
@@ -213,13 +211,8 @@ class VpIndex:
             check_count(l, "l")
         if r is not None:
             _check_radius(r)
-        dists = sorted((self._distance(query, item), i)
-                       for i, item in enumerate(self.items))
-        if r is not None:
-            dists = [(d, i) for d, i in dists if d <= r]
-        if l is not None:
-            dists = dists[:l]
-        return [(self.labels[i], d) for d, i in dists]
+        dists = sorted((self._distance(query, item), i) for i, item in enumerate(self.items))
+        return [(self.labels[i], d) for d, i in dists if r is None or d <= r][:l]
 
     def __len__(self):
         return len(self.items)

@@ -152,7 +152,7 @@ def test_deanon_csv_and_evaluation_count(tmp_path, capsys):
     assert run(argv) == 0
     assert capsys.readouterr().out == DEANON_CSV
     assert run(argv + ["--count-evals"]) == 0
-    assert capsys.readouterr().out == DEANON_CSV + "evaluations 36 of 64\n"
+    assert capsys.readouterr().out == DEANON_CSV + "evaluations 20 of 64\n"
     assert run(argv + ["--count-evals", "--ranker", "degree"]) == 0
     assert capsys.readouterr().out.endswith("ranker=degree)\nevaluations 64 of 64\n")
 

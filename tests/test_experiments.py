@@ -24,6 +24,7 @@ from nedist.graph import parse_edge_list
 from nedist.ned import TreeDistanceCache, signature, signature_distance, tree_for
 from nedist.ted import UNIT, W_PLUS, WeightScheme
 from nedist.oracle import enumerate_trees
+from nedist.vptree import VpIndex
 
 REFERENCE_SCHEMES = {
     "unit": UNIT,
@@ -246,6 +247,39 @@ def test_deanonymize_builds_one_index_per_graph_k_and_cache(monkeypatch):
     deanonymize(g, anon, truth, k=3, l=2, sample_size=5, seed=1)
     deanonymize(g, anon, truth, k=3, l=2, sample_size=5, seed=1)
     assert len(built) == 5
+
+
+def record_refinements(monkeypatch):
+    """Every (query, signature group) the index refines, in order; a query
+    is keyed by the identity of its (memoized) trees."""
+    refined = []
+    refine = VpIndex._refine
+
+    def recording_refine(self, query, g):
+        trees = query if isinstance(query, tuple) else (query,)
+        refined.append((tuple(map(id, trees)), g))
+        return refine(self, query, g)
+
+    monkeypatch.setattr(VpIndex, "_refine", recording_refine)
+    return refined
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_no_signature_group_is_refined_twice_per_query(monkeypatch, directed):
+    refined = record_refinements(monkeypatch)
+    g = random_graph(40, 75, seed=21, directed=directed)
+    anon, truth = anonymize(g, AnonymizationSpec("perturb", p=0.15, seed=22))
+    for k in (2, 3, 4):
+        for l in (1, 5):
+            refined.clear()
+            deanonymize(g, anon, truth, k=k, l=l, sample_size=10, seed=k + l,
+                        cache=TreeDistanceCache(W_PLUS))
+            assert refined and len(set(refined)) == len(refined), (k, l)
+    if not directed:
+        refined.clear()
+        k_effect_study(g, random_graph(45, 90, seed=14), num_queries=12,
+                       k_range=range(1, 5), l=5, seed=3)
+        assert refined and len(set(refined)) == len(refined)
 
 
 def test_degree_baseline_runs():

@@ -1,15 +1,22 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from nedist.errors import UsageError
+from nedist.experiments import random_graph
 from nedist.graph import parse_edge_list
 from nedist.ned import (
     TreeDistanceCache,
+    _signature_groups,
     hausdorff_graph_distance,
     ned,
     ned_directed,
+    signature,
+    signature_distance,
     tree_for,
 )
-from nedist.ted import UNIT, W_PLUS, ted_star
+from nedist.ted import UNIT, W_PLUS, WeightScheme, ted_star
 from nedist.tree import parse_tree_literal as P
 
 PATH5 = "a b\nb c\nc d\nd e\n"
@@ -123,6 +130,55 @@ def test_hausdorff_directed():
     g1 = parse_edge_list("a b\nb c\n", directed=True)
     g2 = parse_edge_list("x y\ny z\n", directed=True)
     assert hausdorff_graph_distance(g1, g2, 2) == 0
+
+
+HAUSDORFF_SCHEMES = [
+    UNIT,
+    W_PLUS,
+    WeightScheme(leaf=lambda lv: Fraction(lv, 3), move=lambda lv: Fraction(2 * lv + 1, 7),
+                 name="fraction"),
+    WeightScheme(leaf=lambda lv: 0.1 * lv + 0.07, move=lambda lv: 0.3 * lv + 0.11,
+                 name="float"),
+]
+
+
+def brute_force_hausdorff(a, b, k, sample, seed, cache):
+    """max-min over every pair of (sampled) nodes, one distance per pair."""
+    def nodes(g, salt):
+        if sample is not None and sample < g.n:
+            return random.Random(seed * 2 + salt).sample(list(range(g.n)), sample)
+        return range(g.n)
+
+    dist = signature_distance(a.directed, cache.distance)
+    sig_a = [signature(a, u, k) for u in nodes(a, 0)]
+    sig_b = [signature(b, v, k) for v in nodes(b, 1)]
+    rows = [[dist(x, y) for y in sig_b] for x in sig_a]
+    return max(max(min(row) for row in rows),
+               max(min(row[j] for row in rows) for j in range(len(sig_b))))
+
+
+@pytest.mark.parametrize("scheme", HAUSDORFF_SCHEMES, ids=lambda s: s.name)
+@pytest.mark.parametrize("directed", [False, True])
+def test_hausdorff_equals_a_brute_force_max_min(directed, scheme):
+    a = random_graph(30, 50, seed=31, directed=directed)
+    b = random_graph(34, 60, seed=32, directed=directed)
+    reference = TreeDistanceCache(scheme)
+    for k in (2, 3, 4):
+        for sample, seed in ((None, 0), (12, 5)):
+            got = hausdorff_graph_distance(a, b, k, sample=sample, seed=seed,
+                                           cache=TreeDistanceCache(scheme))
+            want = brute_force_hausdorff(a, b, k, sample, seed, reference)
+            assert repr(got) == repr(want), (k, sample)
+
+
+def test_hausdorff_refines_fewer_pairs_than_all():
+    a = random_graph(30, 50, seed=31)
+    b = random_graph(34, 60, seed=32)
+    cache = TreeDistanceCache(W_PLUS)
+    hausdorff_graph_distance(a, b, 3, cache=cache)
+    pairs = len(_signature_groups(a, range(a.n), 3)) * len(_signature_groups(b, range(b.n), 3))
+    # the full matrix asks for every pair
+    assert 0 < cache.computations <= cache.evaluations < pairs
 
 
 def test_weights_must_be_a_weight_scheme():

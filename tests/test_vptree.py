@@ -34,14 +34,27 @@ class HalfGap:
         return [abs(q - x) // 2 for x in self.values]
 
 
-def make_index(n, seed=0):
+class InexactHalfGap(HalfGap):
+    """The same values, flagged as a bound that may not prune (as under
+    float weights): it only orders the groups."""
+    exact = False
+
+
+def int_index(items, groups=None, bound=HalfGap):
+    """An index over ints under |a - b|, bounded by half the gap to each
+    group's value."""
+    firsts = [m[0] for m in groups] if groups is not None else range(len(items))
+    return VpIndex(items, int_metric, groups, bound([items[i] for i in firsts]))
+
+
+def make_index(n, seed=0, bound=HalfGap):
     """Random ints in 0..99, grouped by value."""
     rng = random.Random(seed)
     items = [rng.randrange(100) for _ in range(n)]
     groups: dict = {}
     for i, x in enumerate(items):
         groups.setdefault(x, []).append(i)
-    return VpIndex(items, int_metric, list(groups.values()), HalfGap(list(groups))), items
+    return int_index(items, list(groups.values()), bound), items
 
 
 def test_knn_matches_linear_scan():
@@ -86,7 +99,7 @@ def test_range_matches_linear_scan():
 
 def test_ties_resolve_by_index():
     for groups in (None, [[0, 1, 2, 3]], [[0, 2], [1, 3]]):
-        index = VpIndex([5, 5, 5, 5], int_metric, groups)
+        index = int_index([5, 5, 5, 5], groups)
         got, _ = index.knn(5, 2)
         assert got == [(0, 0), (1, 0)]
         assert index.range_query(5, 0)[0] == [(0, 0), (1, 0), (2, 0), (3, 0)]
@@ -106,7 +119,18 @@ def test_pruning_saves_evaluations():
         assert evals <= 3   # q's own group of about 20 entries, and q - 1, q + 1
         _, evals = index.range_query(q, 4)
         assert evals <= 19   # the values within 9 are bounded by 4
-    assert VpIndex([3, 1, 4], int_metric).knn(0, 1)[1] == 3   # no bound: a scan
+
+def test_an_inexact_bound_refines_every_group():
+    index, _ = make_index(300, seed=7, bound=InexactHalfGap)
+    for q in range(0, 100, 9):
+        for l in (1, 5):
+            got, evals = index.knn(q, l)
+            assert got == index.linear_scan(q, l=l)
+            assert evals == len(index.groups)
+        for r in (0, 3, 2.5):
+            got, evals = index.range_query(q, r)
+            assert got == index.linear_scan(q, r=r)
+            assert evals == len(index.groups)
 
 
 def test_query_argument_validation():
@@ -122,10 +146,10 @@ def test_query_argument_validation():
         with pytest.raises(UsageError):
             index.range_query(0, bad)
     with pytest.raises(UsageError):
-        VpIndex([], int_metric)
+        VpIndex([], int_metric, None, HalfGap([]))
     for groups in ([[0]], [[1, 0]], [[0, 1], [1]], [[0, 1, 2]]):
         with pytest.raises(UsageError):
-            VpIndex([3, 3], int_metric, groups)
+            VpIndex([3, 3], int_metric, groups, HalfGap([3]))
     with pytest.raises(UsageError):
         SignatureBound([], UNIT, 2)
 
@@ -145,7 +169,7 @@ def test_linear_scan_checks_its_arguments_as_the_queries_do():
 
 def test_all_equal_items_degenerate_build():
     for groups in (None, [list(range(40))]):
-        index = VpIndex([7] * 40, int_metric, groups)
+        index = int_index([7] * 40, groups)
         got, _ = index.knn(7, 5)
         assert [lab for lab, _ in got] == [0, 1, 2, 3, 4]
 
@@ -164,22 +188,30 @@ def test_graph_index_round_trip():
 
 
 def assert_index_is_exact(g, k, scheme, nodes, radii):
-    """knn and range queries equal the scan, refining at most the index's
-    distinct signatures; returns the signatures refined per knn query."""
+    """knn and range queries equal the scan; under an exact bound, each
+    refines exactly the signatures whose LB is at most ``unit`` times the
+    5th distance or the radius, no more (the walk stays lazy).  Returns the
+    signatures refined per knn query."""
     index = build_index(g, k, cache=TreeDistanceCache(scheme))
     distinct = len(_signature_groups(g, range(g.n), k))
     assert len(index.groups) == distinct
+    bound = index._bound
     refined = []
     for v in nodes:
         q = signature(g, v, k)
+        lbs = list(bound(q))
         got, evals = index.knn(q, 5)
         assert got == index.linear_scan(q, l=5), (g.labels[v], got)
         assert evals <= distinct
+        if bound.exact:
+            assert evals == sum(lb <= bound.unit * got[-1][1] for lb in lbs)
         refined.append(evals)
         for r in radii:
             got, evals = index.range_query(q, r)
             assert got == index.linear_scan(q, r=r), (g.labels[v], r)
             assert evals <= distinct
+            if bound.exact:
+                assert evals == sum(lb <= bound.unit * r for lb in lbs)
     return refined
 
 
@@ -210,7 +242,7 @@ def test_pool_repro_where_the_triangle_inequality_fails():
     pool = [random_tree(rng.randint(2, 60), rng.randint(2, 6),
                         seed=rng.randrange(1 << 30)) for _ in range(60)]
     cache = TreeDistanceCache(W_PLUS)
-    index = VpIndex(pool, cache.distance, bound=SignatureBound(pool, W_PLUS, 6))
+    index = VpIndex(pool, cache.distance, None, SignatureBound(pool, W_PLUS, 6))
     assert index.knn(pool[23], 3)[0] == [(23, 0), (35, 13), (44, 13)]
     for q in (23, 0, 35, 44, 58):
         for l in (1, 3, 8):
