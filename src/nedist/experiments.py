@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import UsageError, check_count
 from .graph import Graph, build_graph
-from .ned import TreeDistanceCache, signature, signature_distance, tree_for
+from .ned import TreeDistanceCache, signature, tree_for
 from .oracle import enumerate_trees, exact_unordered_ted
 from .ted import ted_star_distance_only
 from .tree import LevelTree, TreeNode
@@ -169,8 +169,9 @@ class DeanonReport:
     sample_size: int
     tie_policy: str
     method: str
-    # distances the ranker computed over all queries: signature groups the
-    # index refined, or every (query, training node) pair for the degree
+    # distances the ranker took over all queries: signature groups whose
+    # distance the index walk took, from its bound or by refining them, or
+    # every (query, training node) pair for the degree
     # ranker; a cost, not a result, so it stays out of repr and ==
     evaluations: int = field(default=0, repr=False, compare=False)
 
@@ -232,10 +233,12 @@ def deanonymize(train: Graph, anon: Graph, truth: dict, k: int, l: int,
 
     The ned ranker uses the weight scheme of ``cache`` (a new unit cache when
     None) and walks the exact signature index of ``train`` (``build_index``)
-    nearest first, once per query, until it has the top l and has passed the
-    true node's distance, so only signatures whose lower bound can rank are
-    refined, each once.  The index is built once per training graph, k and
-    given cache, and later calls with the same three reuse it.
+    nearest first, once per query, until it has the top l and has reached
+    the true node, so only signatures whose lower bound can rank are refined,
+    each once.  At k <= 3 under integer weights the bound is the distance, so
+    a query reads every distance from it and refines nothing.  The index is
+    built once per training graph, k and given cache, and later calls with
+    the same three reuse it.
     """
     check_count(k, "k")
     check_count(l, "l")
@@ -263,19 +266,20 @@ def deanonymize(train: Graph, anon: Graph, truth: dict, k: int, l: int,
             index = build_index(train, k, cache=cache)
         else:
             index = _index_for(train, k, cache)
-        distance = signature_distance(train.directed, cache.distance)
         start = index.eval_count
 
         def rank_query(u, true_id):
-            s = signature(anon, u, k)
-            d_true = distance(s, signature(train, true_id, k))
-            rank, top = 1, []
-            for d, members in index.walk(s):
-                members = list(members)
+            v = train.index[true_id]
+            rank, d_true, top = 1, None, []
+            for d, members in index.walk(signature(anon, u, k)):
                 top += [d] * min(len(members), l - len(top))
-                rank += sum(d < d_true or (d == d_true and train.labels[i] < true_id)
-                            for i in members)
-                if d >= d_true and len(top) == l:
+                if d_true is None:
+                    if v in members:   # the true node's distance
+                        d_true = d
+                        rank += sum(train.labels[i] < true_id for i in members)
+                    else:
+                        rank += len(members)
+                if d_true is not None and len(top) == l:
                     break
             return rank, d_true, top
     else:
@@ -423,7 +427,7 @@ def k_effect_study(g1: Graph, g2: Graph, num_queries: int, k_range=range(1, 7),
         for u in queries:
             nn0 = seen = 0
             for d, members in index.walk(tree_for(g1, u, k), r):
-                seen += sum(1 for _ in members)
+                seen += len(members)
                 nn0 = seen if d == 0 else nn0   # only the first distance can be 0
                 if seen >= l:   # the distance of the l-th entry
                     break

@@ -120,7 +120,8 @@ def hausdorff_graph_distance(a: Graph, b: Graph, k: int,
     with a seeded deterministic subset (an approximation, flagged to callers
     by their own choice of the parameter).  A node's distance to the other
     side is the first of a walk over that side's distinct signatures
-    (``VpIndex.walk``), which refines only those that can reach it.
+    (``VpIndex.walk``), which refines only those that can reach it, and at
+    k <= 3 under integer weights reads each distance from its bound.
     """
     from .vptree import SignatureBound, VpIndex   # vptree imports this module
     if a.directed != b.directed:

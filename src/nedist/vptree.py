@@ -24,12 +24,15 @@ c_i = min(move(i), 2 leaf(i + 1)) and c_0 = 0,
 and a directed signature adds its in-tree and out-tree bounds.  The inner
 sum over t is the L1 distance D_i of the two levels' child counts, each
 sorted and padded with zeros.  At depth <= 3 LB is TED*'s closed form
-(``nedist.ted``).  At any depth LB <= TED*: each level's matching
-re-parents at least (D_i - P_(i+1)) / 2 children, with P_(i+1) the padding
-one level down, and each costs at least c_i, a move or a delete and
-re-insert.  Integer and Fraction weights give the bound in exact scaled
-integers; float weights only order the refinement, since a rounded LB can
-sit above a rounded distance, so a float index prunes no group.
+(``nedist.ted``), so where the query and every signature have depth
+<= k <= 3 and every weight is an ``int`` (TED* is then an ``int`` too), a
+query reads each distance from its bound and refines nothing.  At any depth
+LB <= TED*: each level's matching re-parents at least (D_i - P_(i+1)) / 2
+children, with P_(i+1) the padding one level down, and each costs at least
+c_i, a move or a delete and re-insert.  Integer and Fraction weights give
+the bound in exact scaled integers; float weights only order the
+refinement, since a rounded LB can sit above a rounded distance, so a float
+index prunes no group.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import math
 import numbers
 from collections import Counter
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -66,7 +69,8 @@ class SignatureBound:
 
     Calling it with a query returns one value per representative: ``unit``
     times its LB, an integer where ``exact``.  Levels deeper than k add
-    nothing, so a query deeper than k gets a lower LB.
+    nothing, so a query deeper than k gets a lower LB.  ``is_distance`` tells
+    whether those values are ``unit`` times TED* itself.
     """
 
     def __init__(self, reps, weights, k: int):
@@ -75,6 +79,12 @@ class SignatureBound:
         reps = [_trees(s) for s in reps]
         size, count, self.unit, self.exact = bound_weights(weights, check_count(k, "k"))
         self.k = k
+        # LB is TED*'s closed form at depth <= 3, and under int weights TED*
+        # is an int, as LB // unit is
+        self._closed = (k <= 3
+                        and all(type(weights.leaf_cost(i)) is int for i in range(1, k + 1))
+                        and all(type(weights.move_cost(i)) is int for i in range(1, k))
+                        and all(t.depth <= k for trees in reps for t in trees))
         # per tree of a signature, per level 1..k - 1, the widest child count
         self._widths = [[max((max(trees[side].child_counts()[i], default=0)
                               for trees in reps if i < trees[side].depth), default=0)
@@ -121,6 +131,11 @@ class SignatureBound:
             w = w.astype(object)   # Python ints: exact past int64
         return np.abs(self._rows - np.array(q, dtype=np.int64)) @ w
 
+    def is_distance(self, query) -> bool:
+        """Whether each value for ``query`` is ``unit`` times its TED*, of
+        the type TED* returns: k <= 3, int weights, and no tree deeper than k."""
+        return self._closed and all(t.depth <= self.k for t in _trees(query))
+
 
 class VpIndex:
     """Exact kNN and range queries over a fixed entry list.
@@ -130,7 +145,9 @@ class VpIndex:
     whose entries are at one distance from every query (one group per entry
     when None).  ``bound`` maps a query to one lower bound per group on
     ``bound.unit`` times that distance; where ``bound.exact`` is false it
-    only orders the groups, and every group is refined.
+    only orders the groups, and every group is refined.  Where
+    ``bound.is_distance(query)`` holds, the bounds are ``unit`` times the
+    distances, and the query refines nothing.
     """
 
     def __init__(self, items, distance, groups, bound, labels=None):
@@ -145,17 +162,18 @@ class VpIndex:
                 or any(m != sorted(m) for m in self.groups)):
             raise UsageError("groups must split the entry indices into ascending lists")
         self._bound = bound
-        self.eval_count = 0   # groups refined by all queries
+        self.eval_count = 0   # groups whose distance all queries took
 
     def _refine(self, query, g):
-        self.eval_count += 1
         return self._distance(query, self.items[self.groups[g][0]])
 
     def walk(self, query, r=None):
         """The entries within distance r (any, when None), nearest first:
-        (distance, entry indices) per distance, both ascending.  A group is
-        refined only once its LB is at most ``unit`` times the next distance to
-        yield and times r, so a caller that stops early refines nothing more.
+        (distance, entry indices) per distance, both ascending.  A group's
+        distance is taken, from its LB where that is the distance or else by
+        refining it, only once its LB is at most ``unit`` times the next
+        distance to yield and times r, so a caller that stops early takes
+        nothing more.
         """
         unit = self._bound.unit
         if r is None:
@@ -168,12 +186,14 @@ class VpIndex:
         # an inexact bound only orders the groups: each is refined before any yield
         lbs = lbs[order].tolist() if self._bound.exact else [-math.inf] * len(order)
         order = order.tolist()
-        pending: list[tuple] = []   # refined, not yet yielded: a heap of (distance, group)
+        closed = self._bound.is_distance(query)
+        pending: list[tuple] = []   # taken, not yet yielded: a heap of (distance, group)
         j = 0
         while True:
             while (j < len(order) and lbs[j] <= limit
                    and not (pending and lbs[j] > unit * pending[0][0])):
-                d = self._refine(query, order[j])
+                self.eval_count += 1
+                d = lbs[j] // unit if closed else self._refine(query, order[j])
                 if d <= r:
                     heapq.heappush(pending, (d, order[j]))
                 j += 1
@@ -183,14 +203,15 @@ class VpIndex:
             members = [self.groups[g]]
             while pending and pending[0][0] == d:
                 members.append(self.groups[heapq.heappop(pending)[1]])
-            yield d, members[0] if len(members) == 1 else heapq.merge(*members)
+            yield d, members[0] if len(members) == 1 else sorted(chain.from_iterable(members))
 
     def knn(self, query, l: int):
         """The l nearest entries: the first l of ``walk``.
 
         Returns (results, evaluations) where results is a list of
-        (label, distance) and evaluations counts the groups this query
-        refined.  l larger than the index returns everything.
+        (label, distance) and evaluations counts the groups whose distance
+        this query took, from the bound or by refining them.  l larger than
+        the index returns everything.
         """
         check_count(l, "l")
         start = self.eval_count
@@ -202,7 +223,9 @@ class VpIndex:
         ``walk`` up to r.  Returns (results, evaluations) as ``knn`` does."""
         _check_radius(r)   # ``walk`` reads None as no radius
         start = self.eval_count
-        out = [(self.labels[i], d) for d, members in self.walk(query, r) for i in members]
+        out: list[tuple] = []
+        for d, members in self.walk(query, r):
+            out += zip(map(self.labels.__getitem__, members), repeat(d))
         return out, self.eval_count - start
 
     def linear_scan(self, query, l=None, r=None):

@@ -175,10 +175,14 @@ def test_hausdorff_refines_fewer_pairs_than_all():
     a = random_graph(30, 50, seed=31)
     b = random_graph(34, 60, seed=32)
     cache = TreeDistanceCache(W_PLUS)
-    hausdorff_graph_distance(a, b, 3, cache=cache)
-    pairs = len(_signature_groups(a, range(a.n), 3)) * len(_signature_groups(b, range(b.n), 3))
+    hausdorff_graph_distance(a, b, 4, cache=cache)
+    pairs = len(_signature_groups(a, range(a.n), 4)) * len(_signature_groups(b, range(b.n), 4))
     # the full matrix asks for every pair
     assert 0 < cache.computations <= cache.evaluations < pairs
+    # at depth <= 3 every distance is read from the bound
+    cache = TreeDistanceCache(W_PLUS)
+    hausdorff_graph_distance(a, b, 3, cache=cache)
+    assert cache.computations == 0
 
 
 def test_weights_must_be_a_weight_scheme():

@@ -459,3 +459,19 @@ def test_ted_star_leaves_no_reference_cycles():
     finally:
         if enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("scheme", [UNIT, W_PLUS, criterion_1_random_scheme()],
+                         ids=lambda s: s.name)
+def test_triangle_inequality_at_depth_three(scheme):
+    # TED* at depth <= 3 is an l1 distance between per-tree vectors, so on
+    # criterion 1's pool it holds on every ordered triple of shallow trees
+    rng = random.Random(11)
+    pool = [random_tree(rng.randint(2, 60), rng.randint(2, 6),
+                        seed=rng.randrange(1 << 30)) for _ in range(60)]
+    shallow = [t for t in pool if t.depth <= 3]
+    assert len(shallow) == 28
+    d = [[ted_star_distance_only(a, b, scheme) for b in shallow] for a in shallow]
+    n = len(shallow)
+    assert all(d[i][j] + d[j][k] >= d[i][k]
+               for i in range(n) for j in range(n) for k in range(n))

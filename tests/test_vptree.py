@@ -10,12 +10,18 @@ from nedist.graph import parse_edge_list
 from nedist.ned import TreeDistanceCache, _signature_groups, ned, signature, tree_for
 from nedist.oracle import enumerate_trees
 from nedist.ted import UNIT, W_PLUS, WeightScheme, ted_star_distance_only
+from nedist.tree import parse_tree_literal as P
 from nedist.vptree import SignatureBound, VpIndex, build_index
 from schemes import criterion_1_random_scheme
 
 FRACTION_SCHEME = WeightScheme(leaf=lambda L: Fraction(L, 3),
                                move=lambda L: Fraction(2 * L + 1, 7), name="fraction")
 BOUND_SCHEMES = [UNIT, W_PLUS, criterion_1_random_scheme(), FRACTION_SCHEME]
+FLOAT_SCHEME = WeightScheme(leaf=lambda L: 0.1 * L + 0.07, move=lambda L: 0.3 * L + 0.11,
+                            name="float")
+# integer values, but TED* returns Fractions under it
+INT_FRACTION_SCHEME = WeightScheme(leaf=lambda L: Fraction(1),
+                                   move=lambda L: Fraction(2 * L), name="int-fraction")
 
 
 def int_metric(a, b):
@@ -32,6 +38,9 @@ class HalfGap:
 
     def __call__(self, q):
         return [abs(q - x) // 2 for x in self.values]
+
+    def is_distance(self, q):
+        return False
 
 
 class InexactHalfGap(HalfGap):
@@ -253,8 +262,7 @@ def test_pool_repro_where_the_triangle_inequality_fails():
 
 def test_float_schemes_refine_every_signature():
     g = random_graph(50, 100, seed=12)
-    floats = WeightScheme(leaf=lambda L: 0.1 * L + 0.07, move=lambda L: 0.3 * L + 0.11)
-    index = build_index(g, 3, cache=TreeDistanceCache(floats))
+    index = build_index(g, 3, cache=TreeDistanceCache(FLOAT_SCHEME))
     for v in range(0, 50, 7):
         q = tree_for(g, v, 3)
         got, evals = index.knn(q, 4)
@@ -308,3 +316,48 @@ def test_bound_on_random_tree_pairs(scheme):
         a, b = (random_tree(rng.randint(2, 120), rng.randint(2, 7), rng) for _ in "ab")
         bound = SignatureBound([b], scheme, max(a.depth, b.depth))
         check_bound([a], [b], scheme, bound)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("scheme", [UNIT, W_PLUS, criterion_1_random_scheme(), FRACTION_SCHEME,
+                                    FLOAT_SCHEME, INT_FRACTION_SCHEME], ids=lambda s: s.name)
+def test_distances_read_from_the_bound_equal_refined_ones(scheme, directed):
+    g = random_graph(40, 80, seed=14, directed=directed)
+    for k in (1, 2, 3, 4):
+        cache = TreeDistanceCache(scheme)
+        index = build_index(g, k, cache=cache)
+        from_bound = k <= 3 and scheme in (UNIT, W_PLUS)
+        for v in range(0, g.n, 4):
+            q = signature(g, v, k)
+            assert index._bound.is_distance(q) == from_bound
+            before = cache.evaluations
+            got, _ = index.knn(q, 5)
+            radii = (0, got[-1][1], 2.5)
+            ranges = [index.range_query(q, r)[0] for r in radii]
+            if from_bound:   # no TED*, not even a cache lookup
+                assert cache.evaluations == before
+            assert repr(got) == repr(index.linear_scan(q, l=5)), (k, v)
+            for r, out in zip(radii, ranges):
+                assert repr(out) == repr(index.linear_scan(q, r=r)), (k, v, r)
+
+
+def test_a_query_deeper_than_the_index_is_refined():
+    g = random_graph(60, 120, seed=15)
+    cache = TreeDistanceCache(W_PLUS)
+    index = build_index(g, 2, cache=cache)
+    for v in range(0, g.n, 6):
+        q = tree_for(g, v, 4)
+        assert q.depth == 4
+        assert not index._bound.is_distance(q)
+        before = cache.evaluations
+        got, evals = index.knn(q, 5)
+        assert cache.evaluations - before == evals > 0
+        assert repr(got) == repr(index.linear_scan(q, l=5))
+        assert repr(index.range_query(q, 3)[0]) == repr(index.linear_scan(q, r=3))
+
+
+def test_a_signature_deeper_than_k_keeps_the_bound_a_bound():
+    shallow, deep = P("(()(()))"), P("((((()))))")
+    assert not SignatureBound([shallow, deep], UNIT, 3).is_distance(shallow)
+    assert SignatureBound([shallow], UNIT, 3).is_distance(shallow)
+    assert not SignatureBound([shallow], UNIT, 4).is_distance(shallow)
