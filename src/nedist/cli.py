@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .errors import NedistError, UsageError
 from .experiments import (
+    ANON_METHODS,
     AnonymizationSpec,
     anonymize,
     deanonymize,
@@ -55,7 +56,7 @@ def _read_rows(path: str, what: str, parse_line) -> list:
                     rows.append(parse_line(line.split(), f"{path}:{line_no}"))
     except OSError as exc:
         raise UsageError(f"cannot read {what} file {path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad number in {what} file {path}: {exc}") from exc
     return rows
 
@@ -111,180 +112,152 @@ def _breakdown_lines(br, fmt: str):
     return _rows_to_lines([dict(zip(columns, row)) for row in rows], columns, fmt)
 
 
+def _flags(*names, **spec) -> argparse.ArgumentParser:
+    """A parent parser holding one flag, for every command that takes it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **spec)
+    return parent
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="nedist", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("plain", "csv"), default="plain")
+    common = _flags("--format", choices=("plain", "csv"), default="plain")
     common.add_argument("--out", help="write results to this file instead of stdout")
+    depth = _flags("--k", type=int, required=True)
+    depth.add_argument("--directed", action="store_true")
+    top_l = _flags("-l", type=int, required=True)
+    weights = _flags("--weights", type=_weights_arg, default=UNIT)
+    seed = _flags("--seed", type=int, default=0)
+    breakdown = _flags("--breakdown", action="store_true")
+    count_evals = _flags("--count-evals", action="store_true")
+    nmax = _flags("--nmax", type=int, default=6)
 
-    p = sub.add_parser("ktree", parents=[common],
-                       help="print a node's k-level neighborhood tree")
-    p.set_defaults(handler=_cmd_ktree)
+    def command(subs, name, handler, *parents, **kw):
+        p = subs.add_parser(name, parents=[common, *parents], **kw)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command(sub, "ktree", _cmd_ktree, depth,
+                help="print a node's k-level neighborhood tree")
     p.add_argument("--graph", required=True)
     p.add_argument("--node", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--directed", action="store_true")
     p.add_argument("--mode", choices=("undirected", "out", "in"), default=None)
 
-    p = sub.add_parser("dist", parents=[common], help="distance between two tree literals")
-    p.set_defaults(handler=_cmd_dist)
+    p = command(sub, "dist", _cmd_dist, weights, breakdown,
+                help="distance between two tree literals")
     p.add_argument("--tree1", required=True)
     p.add_argument("--tree2", required=True)
-    p.add_argument("--weights", default="unit")
-    p.add_argument("--breakdown", action="store_true")
 
-    p = sub.add_parser("ned", parents=[common], help="node distance across two graphs")
-    p.set_defaults(handler=_cmd_ned)
+    p = command(sub, "ned", _cmd_ned, depth, weights, breakdown,
+                help="node distance across two graphs")
     p.add_argument("--graph1", required=True)
     p.add_argument("--node1", required=True)
     p.add_argument("--graph2", required=True)
     p.add_argument("--node2", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--weights", default="unit")
-    p.add_argument("--directed", action="store_true")
-    p.add_argument("--breakdown", action="store_true")
 
-    p = sub.add_parser("knn", parents=[common], help="exact nearest neighbors via the index")
-    p.set_defaults(handler=_cmd_knn)
+    p = command(sub, "knn", _cmd_knn, depth, top_l, weights, count_evals,
+                help="exact nearest neighbors via the index")
     p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--index-seed", type=int, default=0,
-                   help="accepted for older scripts; results do not depend on it")
     p.add_argument("--query-graph", required=True)
     p.add_argument("--query-node", required=True)
-    p.add_argument("-l", type=int, required=True)
-    p.add_argument("--weights", default="unit")
-    p.add_argument("--directed", action="store_true")
-    p.add_argument("--count-evals", action="store_true")
 
-    p = sub.add_parser("graphdist", parents=[common], help="graph-to-graph distance")
-    p.set_defaults(handler=_cmd_graphdist)
+    p = command(sub, "graphdist", _cmd_graphdist, depth, weights, seed,
+                help="graph-to-graph distance")
     p.add_argument("graph1")
     p.add_argument("graph2")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--weights", default="unit")
-    p.add_argument("--directed", action="store_true")
     p.add_argument("--sample", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("oracle", parents=[common], help="exhaustive ground-truth comparisons")
-    p.set_defaults(handler=_cmd_oracle)
-    p.add_argument("action", choices=("compare",))
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--nmax", type=int, default=6)
+    p = command(sub, "oracle", _cmd_oracle, nmax, help="exhaustive ground-truth comparisons")
     p.add_argument("--depth-max", type=int, default=10**9)
 
-    p = sub.add_parser("deanon", parents=[common], help="seeded de-anonymization experiment")
-    p.set_defaults(handler=_cmd_deanon)
+    p = command(sub, "deanon", _cmd_deanon, depth, top_l, weights, seed, count_evals,
+                help="seeded de-anonymization experiment")
     p.add_argument("--graph", required=True)
-    p.add_argument("--method", choices=("naive", "sparsify", "perturb"),
-                   default="naive")
+    p.add_argument("--method", choices=ANON_METHODS, default="naive")
     p.add_argument("--p", type=float, default=0.0)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("-l", type=int, required=True)
     p.add_argument("--sample", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--weights", default="unit")
-    p.add_argument("--directed", action="store_true")
     p.add_argument("--tie-policy", choices=("inclusive", "exclusive"),
                    default="inclusive")
     p.add_argument("--ranker", choices=("ned", "degree"), default="ned")
-    p.add_argument("--count-evals", action="store_true")
 
-    p = sub.add_parser("study", help="batch experiment harnesses")
-    p.set_defaults(handler=_cmd_study)
-    study = p.add_subparsers(dest="study", required=True)
+    study = sub.add_parser("study", help="batch experiment harnesses").add_subparsers(
+        dest="study", required=True)
+    command(study, "ted-closeness", _cmd_ted_closeness, nmax)
 
-    q = study.add_parser("ted-closeness", parents=[common])
-    q.add_argument("--nmax", type=int, default=6)
-
-    q = study.add_parser("scaling", parents=[common])
+    q = command(study, "scaling", _cmd_scaling, seed)
     q.add_argument("--sizes", default="50,100,200,500")
     q.add_argument("--ks", default="3")
     q.add_argument("--pairs", type=int, default=5)
-    q.add_argument("--seed", type=int, default=0)
 
-    q = study.add_parser("k-effect", parents=[common])
+    q = command(study, "k-effect", _cmd_k_effect, seed)
     q.add_argument("--nodes", type=int, default=200)
     q.add_argument("--edges", type=int, default=400)
     q.add_argument("--queries", type=int, default=50)
     q.add_argument("--k-range", default="1:6")
     q.add_argument("-l", type=int, default=5)
-    q.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("match", parents=[common], help="solve a cost-matrix matching (debugging)")
-    p.set_defaults(handler=_cmd_match)
+    p = command(sub, "match", _cmd_match, help="solve a cost-matrix matching (debugging)")
     p.add_argument("--matrix", required=True)
 
     return top
 
 
-def _cmd_ktree(args, emit, fmt):
+def _cmd_ktree(args):
     g = load_graph(args.graph, directed=args.directed)
     mode = args.mode or ("out" if args.directed else "undirected")
-    t = tree_for(g, args.node, args.k, mode)
-    emit([to_tree_literal(t)])
+    return [to_tree_literal(tree_for(g, args.node, args.k, mode))]
 
 
-def _cmd_dist(args, emit, fmt):
-    w = _weights_arg(args.weights)
-    t1 = parse_tree_literal(args.tree1)
-    t2 = parse_tree_literal(args.tree2)
-    total, br = ted_star(t1, t2, w)
-    if args.breakdown:
-        emit(_breakdown_lines(br, fmt) + [f"total {_number(total)}"])
-    else:
-        emit([_number(total)])
+def _cmd_dist(args):
+    total, br = ted_star(parse_tree_literal(args.tree1), parse_tree_literal(args.tree2),
+                         args.weights)
+    if not args.breakdown:
+        return [_number(total)]
+    return _breakdown_lines(br, args.format) + [f"total {_number(total)}"]
 
 
-def _cmd_ned(args, emit, fmt):
-    w = _weights_arg(args.weights)
+def _cmd_ned(args):
     g1 = load_graph(args.graph1, directed=args.directed)
     g2 = load_graph(args.graph2, directed=args.directed)
     breakdowns = []
 
     def tree_distance(a, b):
-        d, br = ted_star(a, b, w)
+        d, br = ted_star(a, b, args.weights)
         breakdowns.append(br)
         return d
 
     total = signature_distance(args.directed, tree_distance)(
         signature(g1, args.node1, args.k), signature(g2, args.node2, args.k))
     if not args.breakdown:
-        emit([_number(total)])
-        return
+        return [_number(total)]
     lines = []
     for tag, br in zip(("in", "out"), breakdowns):   # one breakdown when undirected
-        lines += [f"[{tag} tree]"] * args.directed + _breakdown_lines(br, fmt)
-    emit(lines + [f"total {_number(total)}"])
+        lines += [f"[{tag} tree]"] * args.directed + _breakdown_lines(br, args.format)
+    return lines + [f"total {_number(total)}"]
 
 
-def _cmd_knn(args, emit, fmt):
-    cache = TreeDistanceCache(_weights_arg(args.weights))
+def _cmd_knn(args):
     g = load_graph(args.graph, directed=args.directed)
     gq = load_graph(args.query_graph, directed=args.directed)
-    index = build_index(g, args.k, seed=args.index_seed, cache=cache)
+    index = build_index(g, args.k, cache=TreeDistanceCache(args.weights))
     results, evals = index.knn(signature(gq, args.query_node, args.k), args.l)
     rows = [{"node": lab, "distance": _number(d)} for lab, d in results]
-    lines = _rows_to_lines(rows, ["node", "distance"], fmt)
+    lines = _rows_to_lines(rows, ["node", "distance"], args.format)
     if args.count_evals:
         lines.append(f"evaluations {evals} of {len(index)}")
-    emit(lines)
+    return lines
 
 
-def _cmd_graphdist(args, emit, fmt):
-    cache = TreeDistanceCache(_weights_arg(args.weights))
+def _cmd_graphdist(args):
     g1 = load_graph(args.graph1, directed=args.directed)
     g2 = load_graph(args.graph2, directed=args.directed)
-    d = hausdorff_graph_distance(g1, g2, args.k, sample=args.sample,
-                                 seed=args.seed, cache=cache)
-    emit([_number(d)])
+    d = hausdorff_graph_distance(g1, g2, args.k, sample=args.sample, seed=args.seed,
+                                 cache=TreeDistanceCache(args.weights))
+    return [_number(d)]
 
 
-def _cmd_oracle(args, emit, fmt):
-    if not args.all:
-        raise UsageError("oracle compare requires --all")
+def _cmd_oracle(args):
     trees = list(enumerate_trees(args.nmax, args.depth_max))
     rows = []
     for i in range(len(trees)):
@@ -301,27 +274,26 @@ def _cmd_oracle(args, emit, fmt):
             })
     cols = ["tree1", "tree2", "ted_star", "exact_ted_star",
             "exact_ted", "exact_ged", "wplus"]
-    emit(_rows_to_lines(rows, cols, fmt))
+    return _rows_to_lines(rows, cols, args.format)
 
 
-def _cmd_deanon(args, emit, fmt):
-    cache = TreeDistanceCache(_weights_arg(args.weights))
+def _cmd_deanon(args):
     g = load_graph(args.graph, directed=args.directed)
     anon, truth = anonymize(g, AnonymizationSpec(args.method, p=args.p,
                                                  seed=args.seed))
     report = deanonymize(g, anon, truth, k=args.k, l=args.l,
                          sample_size=args.sample, seed=args.seed,
                          tie_policy=args.tie_policy, method=args.ranker,
-                         cache=cache)
+                         cache=TreeDistanceCache(args.weights))
     rows = [{"anon_node": r.anon_node, "true_id": r.true_id, "rank": r.rank,
              "hit": int(r.hit)} for r in report.rows]
-    lines = _rows_to_lines(rows, ["anon_node", "true_id", "rank", "hit"], fmt)
+    lines = _rows_to_lines(rows, ["anon_node", "true_id", "rank", "hit"], args.format)
     lines.append(f"precision {report.precision:.4f} "
                  f"(l={report.l} k={report.k} queries={report.sample_size} "
                  f"ties={report.tie_policy} ranker={report.method})")
     if args.count_evals:
         lines.append(f"evaluations {report.evaluations} of {report.sample_size * g.n}")
-    emit(lines)
+    return lines
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -331,63 +303,61 @@ def _parse_int_list(text: str) -> list[int]:
         raise UsageError(f"bad integer list {text!r}") from exc
 
 
-def _cmd_study(args, emit, fmt):
-    if args.study == "ted-closeness":
-        st = ted_closeness_study(n_max=args.nmax)
-        rows = [{"pairs": st.pairs,
-                 "mean_rel_err": f"{st.mean_relative_error:.4f}",
-                 "stddev_rel_err": f"{st.stddev_relative_error:.4f}",
-                 "equality_ratio": f"{st.equality_ratio:.4f}"}]
-        lines = _rows_to_lines(rows, list(rows[0]), fmt)
-        depth_rows = [{"depth": d, "equality_ratio": f"{r:.4f}"}
-                      for d, r in st.per_depth_equality.items()]
-        lines += _rows_to_lines(depth_rows, ["depth", "equality_ratio"], fmt)
-        emit(lines)
-    elif args.study == "scaling":
-        rows = scaling_study(sizes=tuple(_parse_int_list(args.sizes)),
-                             ks=tuple(_parse_int_list(args.ks)),
-                             pairs_per_bucket=args.pairs, seed=args.seed)
-        for r in rows:
-            for key in ("median_ms", "p90_ms", "mean_ms"):
-                r[key] = f"{r[key]:.3f}"
-        emit(_rows_to_lines(rows, ["size", "k", "pairs", "median_ms",
-                                   "p90_ms", "mean_ms"], fmt))
-    else:
-        lo, _, hi = args.k_range.partition(":")
-        try:
-            k_range = range(int(lo), int(hi) + 1)
-        except ValueError as exc:
-            raise UsageError(f"bad k range {args.k_range!r}") from exc
-        g1 = random_graph(args.nodes, args.edges, seed=args.seed)
-        g2 = random_graph(args.nodes, args.edges, seed=args.seed + 1)
-        rows = k_effect_study(g1, g2, num_queries=args.queries,
-                              k_range=k_range, l=args.l, seed=args.seed)
-        for r in rows:
-            r["mean_nn0"] = f"{r['mean_nn0']:.2f}"
-            r["mean_ties"] = f"{r['mean_ties']:.2f}"
-        emit(_rows_to_lines(rows, ["k", "queries", "mean_nn0", "mean_ties"], fmt))
+def _cmd_ted_closeness(args):
+    st = ted_closeness_study(n_max=args.nmax)
+    rows = [{"pairs": st.pairs,
+             "mean_rel_err": f"{st.mean_relative_error:.4f}",
+             "stddev_rel_err": f"{st.stddev_relative_error:.4f}",
+             "equality_ratio": f"{st.equality_ratio:.4f}"}]
+    depth_rows = [{"depth": d, "equality_ratio": f"{r:.4f}"}
+                  for d, r in st.per_depth_equality.items()]
+    return (_rows_to_lines(rows, list(rows[0]), args.format)
+            + _rows_to_lines(depth_rows, ["depth", "equality_ratio"], args.format))
 
 
-def _cmd_match(args, emit, fmt):
+def _cmd_scaling(args):
+    rows = scaling_study(sizes=tuple(_parse_int_list(args.sizes)),
+                         ks=tuple(_parse_int_list(args.ks)),
+                         pairs_per_bucket=args.pairs, seed=args.seed)
+    for r in rows:
+        for key in ("median_ms", "p90_ms", "mean_ms"):
+            r[key] = f"{r[key]:.3f}"
+    return _rows_to_lines(rows, ["size", "k", "pairs", "median_ms", "p90_ms", "mean_ms"],
+                          args.format)
+
+
+def _cmd_k_effect(args):
+    lo, _, hi = args.k_range.partition(":")
+    try:
+        k_range = range(int(lo), int(hi) + 1)
+    except ValueError as exc:
+        raise UsageError(f"bad k range {args.k_range!r}") from exc
+    g1 = random_graph(args.nodes, args.edges, seed=args.seed)
+    g2 = random_graph(args.nodes, args.edges, seed=args.seed + 1)
+    rows = k_effect_study(g1, g2, num_queries=args.queries,
+                          k_range=k_range, l=args.l, seed=args.seed)
+    for r in rows:
+        r["mean_nn0"] = f"{r['mean_nn0']:.2f}"
+        r["mean_ties"] = f"{r['mean_ties']:.2f}"
+    return _rows_to_lines(rows, ["k", "queries", "mean_nn0", "mean_ties"], args.format)
+
+
+def _cmd_match(args):
     matrix = _read_rows(args.matrix, "matrix",
                         lambda tokens, where: [Fraction(tok) for tok in tokens])
     cost, assignment = min_cost_perfect_matching(matrix)
-    emit([f"cost {_number(cost)}", "assignment " + " ".join(map(str, assignment))])
+    return [f"cost {_number(cost)}", "assignment " + " ".join(map(str, assignment))]
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        args.handler(args, lambda lines: _emit(args.out, lines), args.format)
+        args = _build_parser().parse_args(argv)
+        _emit(args.out, args.handler(args))
         return 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NedistError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (NedistError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

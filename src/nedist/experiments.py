@@ -64,17 +64,26 @@ def random_graph(n: int, m: int, seed=0, directed: bool = False) -> Graph:
     if not (isinstance(m, numbers.Integral) and 0 <= m <= limit):
         raise UsageError(f"edge count must be an integer in 0..{limit}, got {m!r}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    chosen: set[tuple[int, int]] = set()
-    while len(chosen) < m:
+    labels = [f"v{i}" for i in range(n)]
+    return build_graph(labels, sorted(_new_pairs(rng, n, directed, set(), m)), directed)
+
+
+def _new_pairs(rng: random.Random, n: int, directed: bool, taken: set, count: int) -> list:
+    """``count`` node pairs drawn uniformly from those of n nodes that are
+    neither self-loops nor in ``taken``, in draw order; undirected pairs are
+    (low, high).  ``taken`` gains them.  The caller ensures enough are free."""
+    added = []
+    while len(added) < count:
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i == j:
             continue
         if not directed and i > j:
             i, j = j, i
-        chosen.add((i, j))
-    labels = [f"v{i}" for i in range(n)]
-    return build_graph(labels, sorted(chosen), directed)
+        if (i, j) not in taken:
+            taken.add((i, j))
+            added.append((i, j))
+    return added
 
 
 # ---------------------------------------------------------------------------
@@ -126,21 +135,7 @@ def anonymize(g: Graph, spec: AnonymizationSpec):
         if pairs - len(edges) < n_edit:
             raise UsageError(f"perturb needs {n_edit} absent node pairs to insert, "
                              f"the graph has {pairs - len(edges)}")
-        present = set(edges)
-        added = []
-        while len(added) < n_edit:
-            i = rng.randrange(g.n)
-            j = rng.randrange(g.n)
-            if i == j:
-                continue
-            if not g.directed and i > j:
-                i, j = j, i
-            e = (i, j)
-            if e in present:
-                continue
-            present.add(e)
-            added.append(e)
-        kept |= set(added)
+        kept.update(_new_pairs(rng, g.n, g.directed, set(edges), n_edit))
 
     labels = [f"n{new}" for new in range(g.n)]
     new_edges = sorted((old_to_new[i], old_to_new[j]) for i, j in kept)

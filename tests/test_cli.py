@@ -100,7 +100,7 @@ def test_graphdist(graph_file, capsys):
 
 
 def test_oracle_compare_csv(capsys):
-    code = run(["oracle", "compare", "--all", "--nmax", "3", "--format", "csv"])
+    code = run(["oracle", "--nmax", "3", "--format", "csv"])
     out = capsys.readouterr().out
     assert code == 0
     lines = out.strip().splitlines()
@@ -109,15 +109,15 @@ def test_oracle_compare_csv(capsys):
     for line in lines[1:]:
         cells = line.split(",")
         assert cells[2] == cells[3]
-    assert run(["oracle", "compare", "--all", "--nmax", "3", "--depth-max", "2",
+    assert run(["oracle", "--nmax", "3", "--depth-max", "2",
                 "--format", "csv"]) == 0
     assert len(capsys.readouterr().out.strip().splitlines()) == 7   # (), (()), (()()): 6 pairs
-    assert run(["oracle", "compare", "--all", "--nmax", "3", "--depth-max", "0"]) == 1
+    assert run(["oracle", "--nmax", "3", "--depth-max", "0"]) == 1
     assert capsys.readouterr().err.startswith("error:")
 
 
 def test_oracle_compare_rejects_zero_nmax(capsys):
-    assert run(["oracle", "compare", "--all", "--nmax", "0"]) == 1
+    assert run(["oracle", "--nmax", "0"]) == 1
     assert capsys.readouterr().err.startswith("error: n_max must be")
 
 
@@ -181,6 +181,30 @@ def test_study_ted_closeness(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_study_rejects_bad_number_lists(capsys):
+    assert run(["study", "scaling", "--sizes", "5,x"]) == 1
+    assert capsys.readouterr().err == "error: bad integer list '5,x'\n"
+    assert run(["study", "k-effect", "--k-range", "1-3"]) == 1
+    assert capsys.readouterr().err == "error: bad k range '1-3'\n"
+
+
+def test_study_k_effect_csv(capsys):
+    assert run(["study", "k-effect", "--nodes", "20", "--edges", "30", "--queries", "5",
+                "--k-range", "1:3", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "k,queries,mean_nn0,mean_ties", "1,5,20.00,15.00", "2,5,3.20,4.60", "3,5,0.20,3.40"]
+
+
+def test_study_scaling_csv(capsys):
+    assert run(["study", "scaling", "--sizes", "20,40", "--ks", "2,3", "--pairs", "2",
+                "--format", "csv"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "size,k,pairs,median_ms,p90_ms,mean_ms"
+    # timings vary from run to run, so only the bucket columns are pinned
+    assert sorted(row.split(",")[:3] for row in rows) == [
+        ["20", "2", "2"], ["20", "3", "2"], ["40", "2", "2"], ["40", "3", "2"]]
+
+
 def test_match_with_weight_file(tmp_path, capsys):
     mat = tmp_path / "m.txt"
     mat.write_text("1 2 3\n2 4 6\n3 6 9\n")
@@ -203,6 +227,26 @@ def test_bad_weight_file(tmp_path):
     wf.write_text("2 1\n")
     assert run(["dist", "--tree1", "()", "--tree2", "()",
                 "--weights", str(wf)]) == 1
+
+
+def test_unreadable_input_files_are_usage_errors(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    assert run(["dist", "--tree1", "()", "--tree2", "()", "--weights", missing]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read weight file {missing}: ")
+    assert run(["match", "--matrix", missing]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read matrix file {missing}: ")
+
+
+def test_bad_numbers_in_input_files_are_usage_errors(tmp_path, capsys):
+    for text in ("1 x\n2 3\n", "1/0 1\n1 1\n"):
+        mat = tmp_path / "m.txt"
+        mat.write_text(text)
+        assert run(["match", "--matrix", str(mat)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: bad number in matrix file {mat}: ")
+    wf = tmp_path / "w.txt"
+    wf.write_text("2 1/0 1\n")
+    assert run(["dist", "--tree1", "()", "--tree2", "()", "--weights", str(wf)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: bad number in weight file {wf}: ")
 
 
 def test_weights_past_the_exact_range(tmp_path, capsys):

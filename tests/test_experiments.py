@@ -159,6 +159,19 @@ def test_deanonymize_sampling_and_determinism():
             deanonymize(train, query, truth, k=2, l=1)
 
 
+def test_deanonymize_rejects_bad_options():
+    g = random_graph(20, 40, seed=10)
+    anon, truth = anonymize(g, AnonymizationSpec("naive", seed=11))
+    with pytest.raises(UsageError, match="unknown tie policy"):
+        deanonymize(g, anon, truth, k=2, l=3, tie_policy="loose")
+    with pytest.raises(UsageError, match="unknown ranking method"):
+        deanonymize(g, anon, truth, k=2, l=3, method="pagerank")
+    directed = random_graph(20, 40, seed=10, directed=True)
+    for train, query in ((g, directed), (directed, anon)):
+        with pytest.raises(UsageError, match="share directedness"):
+            deanonymize(train, query, truth, k=2, l=3)
+
+
 def test_deanonymize_checks_its_truth_map():
     g = random_graph(20, 40, seed=10)
     anon, truth = anonymize(g, AnonymizationSpec("naive", seed=11))
@@ -362,6 +375,10 @@ def test_k_effect_counts():
     empty = parse_edge_list("")
     for a, b in ((empty, g2), (g1, empty)):
         with pytest.raises(UsageError):
+            k_effect_study(a, b, num_queries=3)
+    directed = random_graph(25, 50, seed=13, directed=True)
+    for a, b in ((directed, g2), (g1, directed)):
+        with pytest.raises(UsageError, match="undirected"):
             k_effect_study(a, b, num_queries=3)
     assert rows[0]["k"] == 1
     assert rows[0]["mean_nn0"] == g2.n   # depth-1 trees are all identical

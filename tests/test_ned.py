@@ -106,6 +106,14 @@ def test_hausdorff_rejects_mixed_directedness():
         hausdorff_graph_distance(g1, g2, 2)
 
 
+def test_hausdorff_rejects_an_empty_graph():
+    g = parse_edge_list(PATH5)
+    empty = parse_edge_list("")
+    for a, b in ((g, empty), (empty, g)):
+        with pytest.raises(UsageError, match="empty graph"):
+            hausdorff_graph_distance(a, b, 2)
+
+
 def test_hausdorff_sampling_deterministic():
     g1 = parse_edge_list(PATH5)
     g2 = parse_edge_list(star(5, ""))

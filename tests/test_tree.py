@@ -139,6 +139,10 @@ def test_parse_errors_carry_position():
         parse_tree_literal("())(")
     with pytest.raises(TreeLiteralError):
         parse_tree_literal("()()")
+    with pytest.raises(TreeLiteralError, match=r"position 0: unmatched '\)'"):
+        parse_tree_literal(")")
+    with pytest.raises(TreeLiteralError, match="position 1: unexpected character 'x'"):
+        parse_tree_literal("(x)")
 
 
 def test_levels_and_children():

@@ -176,6 +176,11 @@ def test_linear_scan_checks_its_arguments_as_the_queries_do():
     assert index.linear_scan(0, r=5) == index.range_query(0, 5)[0]
 
 
+def test_build_index_rejects_an_empty_graph():
+    with pytest.raises(UsageError, match="empty graph"):
+        build_index(parse_edge_list(""), 2)
+
+
 def test_all_equal_items_degenerate_build():
     for groups in (None, [list(range(40))]):
         index = int_index([7] * 40, groups)
