@@ -33,12 +33,11 @@ from .ted import (
 )
 from .ned import (
     TreeDistanceCache,
-    hausdorff_graph_distance,
     ned,
     ned_directed,
     tree_for,
 )
-from .vptree import VpIndex, build_index
+from .vptree import VpIndex, build_index, hausdorff_graph_distance
 from .oracle import (
     enumerate_trees,
     exact_ged_on_trees,

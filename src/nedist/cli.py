@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 usage error (bad flags/arguments), 2 data error
-(unparseable inputs, internal invariant diagnostics).  All output is
-deterministic for fixed inputs and seeds.
+(an input file that cannot be read or parsed, internal invariant
+diagnostics).  All output is deterministic for fixed inputs and seeds.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from .experiments import (
 )
 from .graph import load_graph
 from .assignment import min_cost_perfect_matching
-from .ned import (TreeDistanceCache, hausdorff_graph_distance, signature,
-                  signature_distance, tree_for)
+from .ned import TreeDistanceCache, signature, signature_trees, tree_for
 from .oracle import (
     enumerate_trees,
     exact_ged_on_trees,
@@ -34,7 +33,7 @@ from .oracle import (
 )
 from .ted import UNIT, W_PLUS, WeightScheme, ted_star
 from .tree import parse_tree_literal, to_tree_literal
-from .vptree import build_index
+from .vptree import build_index, hausdorff_graph_distance
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,7 +45,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_rows(path: str, what: str, parse_line) -> list:
     """``parse_line(tokens, where)`` of every line of the ``what`` file at
-    ``path`` that is neither blank nor a '#' comment."""
+    ``path`` that is neither blank nor a '#' comment; a data error where the
+    file cannot be read or a number in it cannot be parsed."""
     rows = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -55,15 +55,15 @@ def _read_rows(path: str, what: str, parse_line) -> list:
                 if line and not line.startswith("#"):
                     rows.append(parse_line(line.split(), f"{path}:{line_no}"))
     except OSError as exc:
-        raise UsageError(f"cannot read {what} file {path}: {exc}") from exc
+        raise NedistError(f"cannot read {what} file {path}: {exc}") from exc
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad number in {what} file {path}: {exc}") from exc
+        raise NedistError(f"bad number in {what} file {path}: {exc}") from exc
     return rows
 
 
 def _weight_row(tokens, where):
     if len(tokens) != 3:
-        raise UsageError(f"{where}: weight lines are 'level w1 w2'")
+        raise NedistError(f"{where}: weight lines are 'level w1 w2'")
     return int(tokens[0]), Fraction(tokens[1]), Fraction(tokens[2])
 
 
@@ -220,19 +220,14 @@ def _cmd_dist(args):
 def _cmd_ned(args):
     g1 = load_graph(args.graph1, directed=args.directed)
     g2 = load_graph(args.graph2, directed=args.directed)
-    breakdowns = []
-
-    def tree_distance(a, b):
-        d, br = ted_star(a, b, args.weights)
-        breakdowns.append(br)
-        return d
-
-    total = signature_distance(args.directed, tree_distance)(
-        signature(g1, args.node1, args.k), signature(g2, args.node2, args.k))
+    results = [ted_star(a, b, args.weights) for a, b in zip(
+        signature_trees(signature(g1, args.node1, args.k)),
+        signature_trees(signature(g2, args.node2, args.k)))]
+    total = sum(d for d, _ in results)
     if not args.breakdown:
         return [_number(total)]
     lines = []
-    for tag, br in zip(("in", "out"), breakdowns):   # one breakdown when undirected
+    for tag, (_, br) in zip(("in", "out"), results):   # one breakdown when undirected
         lines += [f"[{tag} tree]"] * args.directed + _breakdown_lines(br, args.format)
     return lines + [f"total {_number(total)}"]
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import UsageError, check_count
 from .graph import Graph, build_graph
-from .ned import TreeDistanceCache, signature, tree_for
+from .ned import TreeDistanceCache, signature
 from .oracle import enumerate_trees, exact_unordered_ted
 from .ted import ted_star_distance_only
 from .tree import LevelTree, TreeNode
@@ -421,7 +421,7 @@ def k_effect_study(g1: Graph, g2: Graph, num_queries: int, k_range=range(1, 7),
         nn0_counts, tie_counts = [], []
         for u in queries:
             nn0 = seen = 0
-            for d, members in index.walk(tree_for(g1, u, k), r):
+            for d, members in index.walk(signature(g1, u, k), r):
                 seen += len(members)
                 nn0 = seen if d == 0 else nn0   # only the first distance can be 0
                 if seen >= l:   # the distance of the l-th entry

@@ -2,13 +2,10 @@
 
 The distance between two nodes is the tree distance between their k-level
 BFS neighborhood trees; for directed graphs the incoming-tree and
-outgoing-tree distances are summed.  A graph-to-graph Hausdorff distance
-aggregates node distances.
+outgoing-tree distances are summed.
 """
 
 from __future__ import annotations
-
-import random
 
 from .errors import UsageError, check_count
 from .graph import Graph
@@ -38,14 +35,23 @@ def signature(g: Graph, node, k: int):
     return tree_for(g, node, k)
 
 
-def signature_distance(directed: bool, tree_distance):
-    """Distance between two node signatures, given a distance between trees:
-    for directed graphs, the in-tree distance plus the out-tree distance."""
-    if not directed:
-        return tree_distance
+def signature_trees(sig, sides: int | None = None) -> tuple:
+    """The trees of a node signature: its (in, out) pair, or its one tree as
+    a 1-tuple.  UsageError unless it holds ``sides`` trees, where given, as
+    when a directed signature meets an undirected one."""
+    trees = sig if isinstance(sig, tuple) else (sig,)
+    if sides is not None and len(trees) != sides:
+        raise UsageError("cannot compare a directed node signature with an undirected one")
+    return trees
 
+
+def signature_distance(tree_distance):
+    """Distance between two node signatures, given a distance between trees:
+    the sum over their trees (in-tree plus out-tree distance for directed
+    graphs); UsageError on a directed and an undirected signature."""
     def distance(a, b):
-        return tree_distance(a[0], b[0]) + tree_distance(a[1], b[1])
+        a = signature_trees(a)
+        return sum(map(tree_distance, a, signature_trees(b, len(a))))
 
     return distance
 
@@ -78,8 +84,7 @@ class TreeDistanceCache:
 
 
 def _ned(gu: Graph, u, gv: Graph, v, k: int, weights: WeightScheme):
-    distance = signature_distance(
-        gu.directed, lambda a, b: ted_star_distance_only(a, b, weights))
+    distance = signature_distance(lambda a, b: ted_star_distance_only(a, b, weights))
     return distance(signature(gu, u, k), signature(gv, v, k))
 
 
@@ -95,53 +100,3 @@ def ned_directed(gu: Graph, u, gv: Graph, v, k: int, weights: WeightScheme = UNI
     if not (gu.directed and gv.directed):
         raise UsageError("ned_directed requires directed graphs; use ned")
     return _ned(gu, u, gv, v, k, weights)
-
-
-def _signature_groups(g: Graph, nodes, k: int):
-    """Distinct node signatures among ``nodes``: a (representative, members)
-    pair per isomorphism class, in order of first appearance, each class's
-    nodes in the order of ``nodes``."""
-    groups: dict = {}
-    for v in nodes:
-        s = signature(g, v, k)
-        key = (tuple(t.canonical_literal() for t in s) if g.directed
-               else s.canonical_literal())
-        groups.setdefault(key, (s, []))[1].append(v)
-    return list(groups.values())
-
-
-def hausdorff_graph_distance(a: Graph, b: Graph, k: int,
-                             sample: int | None = None, seed: int = 0,
-                             cache: TreeDistanceCache | None = None):
-    """Symmetric Hausdorff distance between the node sets of two graphs,
-    under the weight scheme of ``cache`` (a new unit cache when None).
-
-    Exact over all nodes by default; ``sample`` caps the node count per side
-    with a seeded deterministic subset (an approximation, flagged to callers
-    by their own choice of the parameter).  A node's distance to the other
-    side is the first of a walk over that side's distinct signatures
-    (``VpIndex.walk``), which refines only those that can reach it, and at
-    k <= 3 under integer weights reads each distance from its bound.
-    """
-    from .vptree import SignatureBound, VpIndex   # vptree imports this module
-    if a.directed != b.directed:
-        raise UsageError("graphs must both be directed or both undirected")
-    if a.n == 0 or b.n == 0:
-        raise UsageError("Hausdorff distance is undefined for an empty graph")
-    if sample is not None:
-        check_count(sample, "sample")
-    cache = cache or TreeDistanceCache()
-    dist = signature_distance(a.directed, cache.distance)
-
-    def signatures(g: Graph, salt: int):
-        nodes = range(g.n)
-        if sample is not None and sample < g.n:
-            nodes = random.Random(seed * 2 + salt).sample(list(nodes), sample)
-        return [s for s, _ in _signature_groups(g, nodes, k)]
-
-    def directed_distance(sigs_from, sigs_to):
-        index = VpIndex(sigs_to, dist, None, SignatureBound(sigs_to, cache.weights, k))
-        return max(next(index.walk(s))[0] for s in sigs_from)
-
-    sig_a, sig_b = signatures(a, 0), signatures(b, 1)
-    return max(directed_distance(sig_a, sig_b), directed_distance(sig_b, sig_a))

@@ -13,6 +13,10 @@ and a vantage-point tree, which prunes by it, then misses neighbors: on
 criterion 1's pool (``random.Random(11)``) under ``W_PLUS`` it answered
 ``knn(pool[23], 3)`` with ``[(23, 0), (44, 13), (58, 13)]``, where a linear
 scan, and this index, give ``[(23, 0), (35, 13), (44, 13)]``.
+A query whose signature is directed where the index's is undirected, or
+the reverse, is a UsageError.  The graph-to-graph Hausdorff distance
+(``hausdorff_graph_distance``) takes each node's distance to the other
+graph from the first step of a walk over that graph's distinct signatures.
 
 The bound (``SignatureBound``) reads each level's size n_i and child counts.
 With A_i(t) the number of level-i nodes with at least t children,
@@ -40,6 +44,7 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, islice, repeat
@@ -48,7 +53,7 @@ import numpy as np
 
 from .errors import UsageError, check_count
 from .graph import Graph
-from .ned import TreeDistanceCache, _signature_groups, signature, signature_distance
+from .ned import TreeDistanceCache, signature, signature_distance, signature_trees
 from .ted import bound_weights
 
 
@@ -56,11 +61,6 @@ def _check_radius(r):
     """UsageError unless ``r`` is a real number >= 0 (not NaN)."""
     if not (isinstance(r, numbers.Real) and r >= 0):
         raise UsageError(f"radius must be a real number >= 0, got {r!r}")
-
-
-def _trees(sig) -> tuple:
-    """The trees of a signature: an (in, out) pair, or one tree."""
-    return sig if isinstance(sig, tuple) else (sig,)
 
 
 class SignatureBound:
@@ -76,7 +76,8 @@ class SignatureBound:
     def __init__(self, reps, weights, k: int):
         if not reps:
             raise UsageError("cannot bound against zero signatures")
-        reps = [_trees(s) for s in reps]
+        sides = len(signature_trees(reps[0]))
+        reps = [signature_trees(s, sides) for s in reps]
         size, count, self.unit, self.exact = bound_weights(weights, check_count(k, "k"))
         self.k = k
         # LB is TED*'s closed form at depth <= 3, and under int weights TED*
@@ -89,7 +90,7 @@ class SignatureBound:
         self._widths = [[max((max(trees[side].child_counts()[i], default=0)
                               for trees in reps if i < trees[side].depth), default=0)
                          for i in range(k - 1)]
-                        for side in range(len(reps[0]))]
+                        for side in range(sides)]
         # the weight of each column, in the order _vector writes them: a level's
         # size, then its A_i(t) and the counts' excess over the widest
         w = []
@@ -125,7 +126,7 @@ class SignatureBound:
         return v
 
     def __call__(self, query) -> np.ndarray:
-        q = self._vector(_trees(query))
+        q = self._vector(signature_trees(query, len(self._widths)))
         w = self._weights
         if self.exact and self._top_weight * (self._top_row + sum(q)) >= 2 ** 63:
             w = w.astype(object)   # Python ints: exact past int64
@@ -134,7 +135,7 @@ class SignatureBound:
     def is_distance(self, query) -> bool:
         """Whether each value for ``query`` is ``unit`` times its TED*, of
         the type TED* returns: k <= 3, int weights, and no tree deeper than k."""
-        return self._closed and all(t.depth <= self.k for t in _trees(query))
+        return self._closed and all(t.depth <= self.k for t in signature_trees(query))
 
 
 class VpIndex:
@@ -241,6 +242,19 @@ class VpIndex:
         return len(self.items)
 
 
+def _signature_groups(g: Graph, nodes, k: int):
+    """Distinct node signatures among ``nodes``: a (representative, members)
+    pair per isomorphism class, in order of first appearance, each class's
+    nodes in the order of ``nodes``."""
+    groups: dict = {}
+    for v in nodes:
+        s = signature(g, v, k)
+        # tuple() of a list: of a generator it leaves the GC's allocation count raised
+        key = tuple([t.canonical_literal() for t in signature_trees(s)])
+        groups.setdefault(key, (s, []))[1].append(v)
+    return list(groups.values())
+
+
 def build_index(g: Graph, k: int, seed: int = 0,
                 cache: TreeDistanceCache | None = None) -> VpIndex:
     """Index every node of ``g`` by its depth-k neighborhood signature, under
@@ -255,7 +269,42 @@ def build_index(g: Graph, k: int, seed: int = 0,
     cache = cache or TreeDistanceCache()
     groups = _signature_groups(g, range(g.n), k)
     return VpIndex([signature(g, v, k) for v in range(g.n)],
-                   signature_distance(g.directed, cache.distance),
+                   signature_distance(cache.distance),
                    [members for _, members in groups],
                    SignatureBound([s for s, _ in groups], cache.weights, k),
                    labels=g.labels)
+
+
+def hausdorff_graph_distance(a: Graph, b: Graph, k: int,
+                             sample: int | None = None, seed: int = 0,
+                             cache: TreeDistanceCache | None = None):
+    """Symmetric Hausdorff distance between the node sets of two graphs,
+    under the weight scheme of ``cache`` (a new unit cache when None); a
+    directed graph and an undirected one are a UsageError.
+
+    Exact over all nodes by default; ``sample`` caps the node count per side
+    with a seeded deterministic subset (an approximation, flagged to callers
+    by their own choice of the parameter).  A node's distance to the other
+    side is the first of a walk over that side's distinct signatures
+    (``VpIndex.walk``), which refines only those that can reach it, and at
+    k <= 3 under integer weights reads each distance from its bound.
+    """
+    if a.n == 0 or b.n == 0:
+        raise UsageError("Hausdorff distance is undefined for an empty graph")
+    if sample is not None:
+        check_count(sample, "sample")
+    cache = cache or TreeDistanceCache()
+    dist = signature_distance(cache.distance)
+
+    def signatures(g: Graph, salt: int):
+        nodes = range(g.n)
+        if sample is not None and sample < g.n:
+            nodes = random.Random(seed * 2 + salt).sample(list(nodes), sample)
+        return [s for s, _ in _signature_groups(g, nodes, k)]
+
+    def directed_distance(sigs_from, sigs_to):
+        index = VpIndex(sigs_to, dist, None, SignatureBound(sigs_to, cache.weights, k))
+        return max(next(index.walk(s))[0] for s in sigs_from)
+
+    sig_a, sig_b = signatures(a, 0), signatures(b, 1)
+    return max(directed_distance(sig_a, sig_b), directed_distance(sig_b, sig_a))

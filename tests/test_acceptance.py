@@ -253,7 +253,7 @@ def test_criterion_8_deanonymization(capsys):
 
 
 def test_criterion_9_hausdorff_metric(capsys):
-    from nedist.ned import hausdorff_graph_distance as hgd
+    from nedist.vptree import hausdorff_graph_distance as hgd
 
     violations = 0
     for i in range(50):

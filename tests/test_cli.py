@@ -15,6 +15,8 @@ def graph_file(tmp_path):
 def test_dist_simple(capsys):
     assert run(["dist", "--tree1", "(()())", "--tree2", "(()()())"]) == 0
     assert capsys.readouterr().out == "1\n"
+    assert run(["dist", "--tree1", "(()())", "--tree2", "(()()())", "--weights", "unit"]) == 0
+    assert capsys.readouterr().out == "1\n"
 
 
 def test_dist_breakdown(capsys):
@@ -226,27 +228,45 @@ def test_bad_weight_file(tmp_path):
     wf = tmp_path / "w.txt"
     wf.write_text("2 1\n")
     assert run(["dist", "--tree1", "()", "--tree2", "()",
-                "--weights", str(wf)]) == 1
+                "--weights", str(wf)]) == 2
 
 
-def test_unreadable_input_files_are_usage_errors(tmp_path, capsys):
+# a command line reading each kind of input file from the given path
+INPUT_FILE_COMMANDS = {
+    "graph": lambda path: ["ktree", "--graph", path, "--node", "a", "--k", "2"],
+    "matrix": lambda path: ["match", "--matrix", path],
+    "weights": lambda path: ["dist", "--tree1", "()", "--tree2", "()", "--weights", path],
+}
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("graph", "error: [Errno 2] No such file or directory: "),
+    ("matrix", "error: cannot read matrix file {path}: "),
+    ("weights", "error: cannot read weight file {path}: "),
+], ids=["graph", "matrix", "weights"])
+def test_unreadable_input_files_are_data_errors(kind, message, tmp_path, capsys):
     missing = str(tmp_path / "missing.txt")
-    assert run(["dist", "--tree1", "()", "--tree2", "()", "--weights", missing]) == 1
-    assert capsys.readouterr().err.startswith(f"error: cannot read weight file {missing}: ")
-    assert run(["match", "--matrix", missing]) == 1
-    assert capsys.readouterr().err.startswith(f"error: cannot read matrix file {missing}: ")
+    assert run(INPUT_FILE_COMMANDS[kind](missing)) == 2
+    assert capsys.readouterr().err.startswith(message.format(path=missing))
 
 
-def test_bad_numbers_in_input_files_are_usage_errors(tmp_path, capsys):
-    for text in ("1 x\n2 3\n", "1/0 1\n1 1\n"):
-        mat = tmp_path / "m.txt"
-        mat.write_text(text)
-        assert run(["match", "--matrix", str(mat)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: bad number in matrix file {mat}: ")
-    wf = tmp_path / "w.txt"
-    wf.write_text("2 1/0 1\n")
-    assert run(["dist", "--tree1", "()", "--tree2", "()", "--weights", str(wf)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: bad number in weight file {wf}: ")
+@pytest.mark.parametrize("kind, text, message", [
+    pytest.param("graph", "a b\nb c d\n", "error: line 2: expected 2 tokens, got 3: ",
+                 id="graph-fields"),
+    pytest.param("matrix", "1 x\n2 3\n", "error: bad number in matrix file {path}: ",
+                 id="matrix-bad-number"),
+    pytest.param("matrix", "1/0 1\n1 1\n", "error: bad number in matrix file {path}: ",
+                 id="matrix-zero-denominator"),
+    pytest.param("weights", "2 1/0 1\n", "error: bad number in weight file {path}: ",
+                 id="weights-zero-denominator"),
+    pytest.param("weights", "# level leaf move\n2 1\n",
+                 "error: {path}:2: weight lines are 'level w1 w2'", id="weights-fields"),
+])
+def test_malformed_input_files_are_data_errors(kind, text, message, tmp_path, capsys):
+    f = tmp_path / "input.txt"
+    f.write_text(text)
+    assert run(INPUT_FILE_COMMANDS[kind](str(f))) == 2
+    assert capsys.readouterr().err.startswith(message.format(path=f))
 
 
 def test_weights_past_the_exact_range(tmp_path, capsys):

@@ -196,7 +196,7 @@ def test_deanonymize_takes_its_scheme_from_the_cache():
 
 def reference_deanonymize(train, anon, truth, k, l, sample_size, seed, tie_policy, cache):
     """deanonymize's ned rows from a sort of every (distance, label)."""
-    distance = signature_distance(train.directed, cache.distance)
+    distance = signature_distance(cache.distance)
     queries = sorted(random.Random(seed).sample(range(anon.n), sample_size))
     rows = []
     for u in queries:

@@ -4,20 +4,19 @@ from fractions import Fraction
 import pytest
 
 from nedist.errors import UsageError
-from nedist.experiments import random_graph
+from nedist.experiments import random_graph, random_tree
 from nedist.graph import parse_edge_list
 from nedist.ned import (
     TreeDistanceCache,
-    _signature_groups,
-    hausdorff_graph_distance,
     ned,
     ned_directed,
     signature,
     signature_distance,
     tree_for,
 )
-from nedist.ted import UNIT, W_PLUS, WeightScheme, ted_star
+from nedist.ted import UNIT, W_PLUS, WeightScheme, ted_star, ted_star_distance_only
 from nedist.tree import parse_tree_literal as P
+from nedist.vptree import _signature_groups, hausdorff_graph_distance
 
 PATH5 = "a b\nb c\nc d\nd e\n"
 
@@ -157,7 +156,7 @@ def brute_force_hausdorff(a, b, k, sample, seed, cache):
             return random.Random(seed * 2 + salt).sample(list(range(g.n)), sample)
         return range(g.n)
 
-    dist = signature_distance(a.directed, cache.distance)
+    dist = signature_distance(cache.distance)
     sig_a = [signature(a, u, k) for u in nodes(a, 0)]
     sig_b = [signature(b, v, k) for v in nodes(b, 1)]
     rows = [[dist(x, y) for y in sig_b] for x in sig_a]
@@ -177,6 +176,19 @@ def test_hausdorff_equals_a_brute_force_max_min(directed, scheme):
                                            cache=TreeDistanceCache(scheme))
             want = brute_force_hausdorff(a, b, k, sample, seed, reference)
             assert repr(got) == repr(want), (k, sample)
+
+
+@pytest.mark.parametrize("scheme", HAUSDORFF_SCHEMES, ids=lambda s: s.name)
+def test_signature_distance_keeps_a_tree_distance_and_its_type(scheme):
+    # undirected signatures sum one tree distance, 0 + d: under the Fraction
+    # scheme identical trees are at int 0 and the others at Fractions
+    trees = [P(s) for s in ("()", "(())", "(()())", "((())())", "(((()))())", "((((()))))")]
+    trees += [random_tree(30, 5, seed=seed) for seed in range(4)]
+    for f in (lambda a, b: ted_star_distance_only(a, b, scheme),
+              TreeDistanceCache(scheme).distance):
+        for t1 in trees:
+            for t2 in trees:
+                assert repr(signature_distance(f)(t1, t2)) == repr(f(t1, t2))
 
 
 def test_hausdorff_refines_fewer_pairs_than_all():

@@ -7,11 +7,11 @@ import pytest
 from nedist.errors import UsageError
 from nedist.experiments import random_graph, random_tree
 from nedist.graph import parse_edge_list
-from nedist.ned import TreeDistanceCache, _signature_groups, ned, signature, tree_for
+from nedist.ned import TreeDistanceCache, ned, signature, signature_distance, tree_for
 from nedist.oracle import enumerate_trees
 from nedist.ted import UNIT, W_PLUS, WeightScheme, ted_star_distance_only
 from nedist.tree import parse_tree_literal as P
-from nedist.vptree import SignatureBound, VpIndex, build_index
+from nedist.vptree import SignatureBound, VpIndex, _signature_groups, build_index
 from schemes import criterion_1_random_scheme
 
 FRACTION_SCHEME = WeightScheme(leaf=lambda L: Fraction(L, 3),
@@ -237,6 +237,26 @@ def test_graph_index_directed():
     assert got == index.linear_scan(q, l=3)
     assert ("v5", 0) in got
     assert_index_is_exact(g, 4, W_PLUS, range(0, 40, 3), (2, 7))
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("index_directed", [False, True],
+                         ids=["undirected-index", "directed-index"])
+def test_mixed_signatures_are_usage_errors(index_directed, k):
+    # a mixed pair once got a wrong answer (an undirected index ranked a
+    # directed query by its in-tree alone) or an AttributeError, ValueError
+    # or TypeError
+    g = random_graph(20, 30, seed=1, directed=index_directed)
+    q = signature(random_graph(20, 30, seed=1, directed=not index_directed), 3, k)
+    index = build_index(g, k)
+    distance = signature_distance(TreeDistanceCache().distance)
+    for call in (lambda: next(index.walk(q)), lambda: index.knn(q, 3),
+                 lambda: index.range_query(q, 1), lambda: index.linear_scan(q),
+                 lambda: distance(q, index.items[0]), lambda: distance(index.items[0], q)):
+        with pytest.raises(UsageError, match="directed node signature with an undirected"):
+            call()
+    with pytest.raises(UsageError, match="directed node signature with an undirected"):
+        SignatureBound([index.items[0], q], UNIT, k)
 
 
 def test_graph_repro_where_the_triangle_inequality_fails():
