@@ -57,24 +57,25 @@ def signature_distance(tree_distance):
 
 
 class TreeDistanceCache:
-    """Distance memo keyed by canonical tree forms.
+    """Distance memo keyed by tree isomorphism classes.
 
     Isomorphic trees are at distance 0 from each other, and the distance
-    depends only on the canonical forms, so the canonical literal fully
-    determines it; batch workloads hit the same shapes constantly.
+    depends only on the classes, so ``LevelTree.class_key`` fully determines
+    it; batch workloads hit the same shapes constantly.
     """
 
     def __init__(self, weights: WeightScheme = UNIT):
         self.weights = check_scheme(weights)
-        self._memo: dict[tuple[str, str], object] = {}
+        self._memo: dict[tuple, object] = {}
         self.evaluations = 0   # logical distance evaluations requested
         self.computations = 0  # distances actually computed
 
     def distance(self, t1: LevelTree, t2: LevelTree):
         self.evaluations += 1
-        a = t1.canonical_literal()
-        b = t2.canonical_literal()
-        key = (a, b) if a <= b else (b, a)
+        a = t1.class_key()
+        b = t2.class_key()
+        # a tuple key and a str key do not compare: order by kind first
+        key = (a, b) if (isinstance(a, str), a) <= (isinstance(b, str), b) else (b, a)
         d = self._memo.get(key)
         if d is None:
             self.computations += 1

@@ -56,6 +56,17 @@ class LevelTree:
             self._counts = tuple(map(tuple, counts))
         return self._counts
 
+    def class_key(self) -> tuple | str:
+        """A key equal for two trees iff they are isomorphic.  At depth <= 3
+        it is the level sizes and the sorted level-2 child counts, which fix
+        the tree, read from ``child_counts`` with no AHU pass; deeper it is
+        the AHU literal.  A tuple never equals a str, so the kinds never mix."""
+        if self.depth > 3:
+            return self.canonical_literal()
+        counts = self.child_counts()
+        level2 = counts[1] if len(counts) > 1 else ()
+        return tuple(map(len, counts)), tuple(sorted(level2))
+
     def canonical_literal(self) -> str:
         """AHU canonical form: equal strings iff the trees are isomorphic."""
         if self._canon is None:
@@ -87,14 +98,17 @@ def _refine_colors(nodes: list[int], depth_of: dict[int, int], adj) -> dict[int,
 def extract_k_adjacent_tree(g: Graph, root, k: int, mode: str = "undirected") -> LevelTree:
     """BFS tree of ``root`` truncated to ``k`` levels.
 
-    Level sets come from plain breadth-first search.  A node reachable from
-    several previous-level nodes is attached to the candidate parent with
-    the smallest structure-derived color, ties to the smallest internal node
-    index, so relabeling a graph can change the tree: in the circulant graph
-    C10(1,3), node 0 and its image under a shuffled relabeling get trees at
-    TED* 2 for k = 4 (ROADMAP.md, "k-adjacent trees that do not depend on
-    node order").  Node ordering within a level follows the same colors.
-    Trailing levels are absent when BFS exhausts the graph before depth k.
+    Level sets come from plain breadth-first search.  A node's candidate
+    parents are its neighbors one level up.  Where each node has one, it
+    takes it.  Where some node has two or more, structure-derived colors are
+    computed, and each node takes the candidate with the smallest color, ties
+    to the smallest internal node index, so relabeling a graph can change the
+    tree: in the circulant graph C10(1,3), node 0 and its image under a
+    shuffled relabeling get trees at TED* 2 for k = 4 (ROADMAP.md,
+    "k-adjacent trees that do not depend on node order").  Each level is
+    ordered by (parent's position, node index), which keeps siblings
+    contiguous.  Trailing levels are absent when BFS exhausts the graph
+    before depth k.
     """
     check_count(k, "k")
     root = g.resolve(root)
@@ -104,31 +118,40 @@ def extract_k_adjacent_tree(g: Graph, root, k: int, mode: str = "undirected") ->
                 else (g.adj, g.radj if g.directed else g.adj))
     depth_of = {root: 0}
     level_ids: list[list[int]] = [[root]]
+    parent_of: dict[int, int] = {}   # node -> the first candidate parent found
+    choice = False                   # whether some node has two or more
     frontier = [root]
     for d in range(1, k):
-        nxt = sorted({w for v in frontier for w in down[v] if w not in depth_of})
-        if not nxt:
+        found: dict[int, int] = {}
+        for v in frontier:
+            for w in down[v]:
+                if w in found:
+                    choice = True
+                elif w not in depth_of:
+                    found[w] = v
+        if not found:
             break
-        for w in nxt:
+        frontier = sorted(found)
+        for w in frontier:
             depth_of[w] = d
-        level_ids.append(nxt)
-        frontier = nxt
+        level_ids.append(frontier)
+        parent_of.update(found)
 
-    color = _refine_colors(list(depth_of), depth_of, down)
+    if choice:
+        color = _refine_colors(list(depth_of), depth_of, down)
+        for v in parent_of:
+            d = depth_of[v] - 1
+            parent_of[v] = min((w for w in up[v] if depth_of.get(w) == d),
+                               key=lambda w: (color[w], w))
 
-    levels: list[list[TreeNode]] = [[TreeNode(None, node_id=g.labels[root])]]
-    prev_pos = {root: 0}
-    for d in range(1, len(level_ids)):
-        order = sorted(level_ids[d], key=lambda v: (color[v], v))
-        cur_pos = {}
-        nodes = []
-        for v in order:
-            parent = min((w for w in up[v] if depth_of.get(w) == d - 1),
-                         key=lambda w: (color[w], w))
-            cur_pos[v] = len(nodes)
-            nodes.append(TreeNode(prev_pos[parent], node_id=g.labels[v]))
-        levels.append(nodes)
-        prev_pos = cur_pos
+    labels = g.labels
+    levels: list[list[TreeNode]] = [[TreeNode(None, node_id=labels[root])]]
+    pos = {root: 0}
+    for ids in level_ids[1:]:
+        # ids ascend, so a stable sort by parent position breaks ties by index
+        order = sorted(ids, key=lambda v: pos[parent_of[v]])
+        levels.append([TreeNode(pos[parent_of[v]], node_id=labels[v]) for v in order])
+        pos = {v: i for i, v in enumerate(order)}
     return LevelTree(levels)
 
 

@@ -2,7 +2,10 @@
 lower bound on TED*.
 
 Nodes with isomorphic signatures are at one distance from any query, so the
-index groups them, each group's members in ascending node index.  A query
+index groups them, each group's members in ascending node index.  A tree's
+group key is ``LevelTree.class_key``: at depth <= 3 its level sizes and
+sorted level-2 child counts, which fix its isomorphism class and which the
+bound reads anyway, so no AHU pass is made; deeper, its AHU literal.  A query
 computes a lower bound LB for every group and yields the entries nearest
 first (``VpIndex.walk``), refining a group only once its LB is at most the
 next distance to yield, so results and their tie order equal
@@ -250,7 +253,7 @@ def _signature_groups(g: Graph, nodes, k: int):
     for v in nodes:
         s = signature(g, v, k)
         # tuple() of a list: of a generator it leaves the GC's allocation count raised
-        key = tuple([t.canonical_literal() for t in signature_trees(s)])
+        key = tuple([t.class_key() for t in signature_trees(s)])
         groups.setdefault(key, (s, []))[1].append(v)
     return list(groups.values())
 

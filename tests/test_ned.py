@@ -89,6 +89,29 @@ def test_distance_cache_counts():
     assert cache.computations == 1
 
 
+def test_distance_cache_keys_mixed_depths():
+    # depth <= 3 trees are keyed by counts (tuples), deeper ones by AHU
+    # literals (strs): a pair of one of each must not compare the two
+    scheme = HAUSDORFF_SCHEMES[2]
+    rng = random.Random(17)
+    pool = [P("()")] + [random_tree(rng.randint(2, 12), depth, rng)
+                        for depth in range(2, 7) for _ in range(3)]
+    assert {type(t.class_key()) for t in pool} == {tuple, str}
+    cache = TreeDistanceCache(scheme)
+    for a in pool:
+        for b in pool:
+            assert cache.distance(a, b) == ted_star_distance_only(a, b, scheme)
+
+
+def test_distance_cache_keys_isomorphic_trees_once():
+    a, b = P("((())(()()))"), P("((()())(()))")
+    assert a.levels != b.levels
+    cache = TreeDistanceCache()
+    other = P("(()()())")
+    assert cache.distance(a, other) == cache.distance(other, b)
+    assert (cache.evaluations, cache.computations, len(cache._memo)) == (2, 1, 1)
+
+
 def test_hausdorff_identity_and_symmetry():
     g1 = parse_edge_list(PATH5)
     g2 = parse_edge_list(star(4, ""))

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+import nedist.tree as tree_module
 from nedist.errors import TreeLiteralError, UsageError
 from nedist.experiments import random_graph
 from nedist.graph import Graph, parse_edge_list
@@ -93,22 +94,82 @@ def test_extraction_checks_its_mode_once(monkeypatch):
     assert modes == ["in", "out"]
 
 
-def test_pinned_extracted_trees():
-    # every node's tree at k = 1-5 on seeded undirected and directed graphs,
-    # in every mode, as (parent, node_id) per level: a refactor of the
-    # extraction must leave each tree and its node order as they are
-    digest = hashlib.sha256()
+def pinned_pool():
+    """Every node's tree at k = 1-5 on seeded undirected and directed
+    graphs, in every mode."""
     for seed in range(10):
         directed = seed % 2 == 1
         g = random_graph(40 + seed, 64 + 2 * seed, seed=seed, directed=directed)
         for mode in (("in", "out") if directed else ("undirected",)):
             for k in range(1, 6):
                 for v in range(g.n):
-                    t = extract_k_adjacent_tree(g, v, k, mode)
-                    digest.update(repr([[(n.parent, n.node_id) for n in level]
-                                        for level in t.levels]).encode())
+                    yield extract_k_adjacent_tree(g, v, k, mode)
+
+
+def test_pinned_extracted_shapes():
+    # each tree's isomorphism class, as its AHU literal: a change to the
+    # extraction's within-level order must leave every shape as it is
+    digest = hashlib.sha256()
+    for t in pinned_pool():
+        digest.update((t.canonical_literal() + "\n").encode())
     assert digest.hexdigest() == \
-        "0ae26e374f4c4b0c4771719306961b71c88eb8b6998777e191950b6d4503759a"
+        "4835168eb372e4d0bb7552f89ad8c9b90214fb7c08192d1e70dab1778163b1f7"
+
+
+def test_pinned_extracted_trees():
+    # the pool's trees as (parent, node_id) per level, each level ordered by
+    # (parent's position, node index): a refactor of the extraction must
+    # leave each tree and its node order as they are.  A change of the order
+    # alone leaves the shapes, and so test_pinned_extracted_shapes, as they are
+    digest = hashlib.sha256()
+    for t in pinned_pool():
+        digest.update(repr([[(n.parent, n.node_id) for n in level]
+                            for level in t.levels]).encode())
+    assert digest.hexdigest() == \
+        "0a164979def0030e5acb4e76e67761389302d031b830f2557b5d04ef70bfcee2"
+
+
+def test_extracted_siblings_are_contiguous():
+    for t in pinned_pool():
+        for level in t.levels[1:]:
+            parents = [n.parent for n in level]
+            assert parents == sorted(parents)
+
+
+def test_no_color_refinement_without_a_choice_of_parent(monkeypatch):
+    # at k <= 2 every node's one candidate parent is the root, and in a
+    # tree-shaped graph every node has one neighbor one level up
+    cases = [(g, v, k, mode)
+             for g in (random_graph(40, 80, seed=3), random_graph(40, 80, seed=4, directed=True))
+             for mode in (("in", "out") if g.directed else ("undirected",))
+             for k in (1, 2) for v in range(g.n)]
+    # a binary tree of 15 nodes with a path hung off a leaf
+    tree_graph = parse_edge_list("".join(f"{i} {(i - 1) // 2}\n" for i in range(1, 15))
+                                 + "14 p1\np1 p2\np2 p3\n")
+    cases += [(tree_graph, v, 5, "undirected") for v in range(tree_graph.n)]
+    expected = [extract_k_adjacent_tree(*case) for case in cases]
+
+    def refuse(*args):
+        raise AssertionError("colors refined where no node has a choice of parent")
+    monkeypatch.setattr(tree_module, "_refine_colors", refuse)
+    assert [extract_k_adjacent_tree(*case) for case in cases] == expected
+
+
+def test_color_refinement_where_a_node_has_two_candidate_parents(monkeypatch):
+    # in a 4-cycle, the node opposite the root has both its neighbors one level up
+    calls = []
+    refine = tree_module._refine_colors
+    monkeypatch.setattr(tree_module, "_refine_colors",
+                        lambda *args: calls.append(args) or refine(*args))
+    g = parse_edge_list("a b\nb c\nc d\nd a\n")
+    assert extract_k_adjacent_tree(g, "a", 2).canonical_literal() == "(()())"
+    assert not calls
+    t = extract_k_adjacent_tree(g, "a", 3)
+    assert len(calls) == 1
+    assert t.canonical_literal() == "(()(()))"
+    assert [n.node_id for n in t.levels[1]] == ["b", "d"]
+    # b and d get one color, so the smaller node index decides
+    assert [(n.parent, n.node_id) for n in t.levels[2]] == [(0, "c")]
 
 
 def test_node_ids_preserved():

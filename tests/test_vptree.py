@@ -6,8 +6,15 @@ import pytest
 
 from nedist.errors import UsageError
 from nedist.experiments import random_graph, random_tree
-from nedist.graph import parse_edge_list
-from nedist.ned import TreeDistanceCache, ned, signature, signature_distance, tree_for
+from nedist.graph import parse_edge_list, to_edge_list
+from nedist.ned import (
+    TreeDistanceCache,
+    ned,
+    signature,
+    signature_distance,
+    signature_trees,
+    tree_for,
+)
 from nedist.oracle import enumerate_trees
 from nedist.ted import UNIT, W_PLUS, WeightScheme, ted_star_distance_only
 from nedist.tree import parse_tree_literal as P
@@ -386,3 +393,28 @@ def test_a_signature_deeper_than_k_keeps_the_bound_a_bound():
     assert not SignatureBound([shallow, deep], UNIT, 3).is_distance(shallow)
     assert SignatureBound([shallow], UNIT, 3).is_distance(shallow)
     assert not SignatureBound([shallow], UNIT, 4).is_distance(shallow)
+
+
+def literal_partition(g, k):
+    """The nodes of ``g`` grouped by their signatures' AHU literals."""
+    parts: dict = {}
+    for v in range(g.n):
+        key = tuple(t.canonical_literal() for t in signature_trees(signature(g, v, k)))
+        parts.setdefault(key, []).append(v)
+    return sorted(parts.values())
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_group_keys_partition_as_canonical_literals(directed):
+    # a random graph and a 3-node path: at k = 4 and 5 the path's trees have
+    # depth <= 3 and count keys, the others literals, in one index
+    g = parse_edge_list(to_edge_list(random_graph(30, 50, seed=16, directed=directed))
+                        + "p0 p1\np1 p2\n", directed=directed)
+    path = [g.resolve(p) for p in ("p0", "p1", "p2")]
+    for k in range(1, 6):
+        groups = _signature_groups(g, range(g.n), k)
+        assert sorted(members for _, members in groups) == literal_partition(g, k), k
+        if k >= 4:
+            kinds = {type(t.class_key()) for s, _ in groups for t in signature_trees(s)}
+            assert kinds == {tuple, str}
+            assert_index_is_exact(g, k, UNIT, list(range(0, 30, 6)) + path, (1, 3))
