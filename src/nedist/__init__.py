@@ -17,7 +17,6 @@ from .errors import (
 from .graph import Graph, build_graph, load_graph, parse_edge_list, to_edge_list
 from .tree import (
     LevelTree,
-    TreeNode,
     extract_k_adjacent_tree,
     parse_tree_literal,
     to_tree_literal,
@@ -69,7 +68,6 @@ __all__ = [
     "NedistError",
     "TreeDistanceCache",
     "TreeLiteralError",
-    "TreeNode",
     "UNIT",
     "UsageError",
     "VpIndex",

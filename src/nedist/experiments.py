@@ -20,7 +20,7 @@ from .graph import Graph, build_graph
 from .ned import TreeDistanceCache, signature
 from .oracle import enumerate_trees, exact_unordered_ted
 from .ted import ted_star_distance_only
-from .tree import LevelTree, TreeNode
+from .tree import LevelTree
 from .vptree import VpIndex, build_index
 
 ANON_METHODS = ("naive", "sparsify", "perturb")
@@ -35,26 +35,20 @@ def random_tree(n: int, depth_max: int, seed=0) -> LevelTree:
     check_count(n, "n")
     check_count(depth_max, "depth_max")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    levels: list[list[TreeNode]] = [[TreeNode(parent=None)]]
-    depths = [0]
-    per_level = [1]
-    within = [0]                       # index of each node inside its level
+    levels: list[list[int | None]] = [[None]]
+    place = [(0, 0)]                   # each node's level and index inside it
     candidates = [0] if depth_max > 1 else []
     for _ in range(n - 1):
         if not candidates:
             raise UsageError("depth_max too small for the requested node count")
-        p = rng.choice(candidates)
-        d = depths[p] + 1
-        if d == len(levels):
+        d, i = place[rng.choice(candidates)]
+        if d + 1 == len(levels):
             levels.append([])
-            per_level.append(0)
-        levels[d].append(TreeNode(parent=within[p]))
-        depths.append(d)
-        within.append(per_level[d])
-        per_level[d] += 1
-        if d + 1 < depth_max:
-            candidates.append(len(depths) - 1)
-    return LevelTree(levels=levels)
+        levels[d + 1].append(i)
+        place.append((d + 1, len(levels[d + 1]) - 1))
+        if d + 2 < depth_max:
+            candidates.append(len(place) - 1)
+    return LevelTree(tuple(map(tuple, levels)))
 
 
 def random_graph(n: int, m: int, seed=0, directed: bool = False) -> Graph:

@@ -12,7 +12,7 @@ import heapq
 from functools import lru_cache
 
 from .errors import UsageError, check_count
-from .tree import LevelTree, TreeNode, parse_tree_literal, to_tree_literal, _literal_key
+from .tree import LevelTree, parse_tree_literal, to_tree_literal, _literal_key
 
 
 # ---------------------------------------------------------------------------
@@ -63,21 +63,19 @@ def _to_parents(t: LevelTree) -> list[tuple[int | None, int]]:
     offsets = []
     for li, level in enumerate(t.levels):
         offsets.append(len(nodes))
-        for node in level:
-            parent = None if node.parent is None else offsets[li - 1] + node.parent
-            nodes.append((parent, li))
+        nodes += [(None if p is None else offsets[li - 1] + p, li) for p in level]
     return nodes
 
 
 def _parents_to_literal(nodes) -> str:
     """Canonical literal of a flat node list, in any order."""
-    levels: list[list[TreeNode]] = [[] for _ in range(max(d for _, d in nodes) + 1)]
+    levels: list[list[int | None]] = [[] for _ in range(max(d for _, d in nodes) + 1)]
     within = [0] * len(nodes)          # index of each node inside its level
     for i in sorted(range(len(nodes)), key=lambda i: nodes[i][1]):
         p, d = nodes[i]
         within[i] = len(levels[d])
-        levels[d].append(TreeNode(None if p is None else within[p]))
-    return to_tree_literal(LevelTree(levels))
+        levels[d].append(None if p is None else within[p])
+    return to_tree_literal(LevelTree(tuple(map(tuple, levels))))
 
 
 @lru_cache(maxsize=1 << 16)

@@ -1,27 +1,27 @@
 """Level-structured rooted unordered trees and BFS neighborhood extraction.
 
 A LevelTree stores a rooted tree level by level: level 1 is the root, level
-i holds the nodes at BFS depth i-1.  Children order carries no meaning; the
-stored order is deterministic so repeated extraction is byte-identical.
+i holds the nodes at BFS depth i-1.  Each level is a tuple holding, per node,
+its parent's index in the level above; level 1 is ``(None,)``.  An extracted
+tree also carries ``node_ids``, per level a tuple of the nodes' graph labels
+in the same order.  Children order carries no meaning; the stored order is
+deterministic so repeated extraction is byte-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import TreeLiteralError, UsageError, check_count
 from .graph import Graph
 
 
-@dataclass(slots=True)
-class TreeNode:
-    parent: int | None            # index into the previous level, None for the root
-    node_id: str | None = None    # original graph label when extracted, else None
-
-
 @dataclass
 class LevelTree:
-    levels: list[list[TreeNode]]
+    levels: tuple[tuple[int | None, ...], ...]
+    node_ids: tuple[tuple, ...] | None = None   # graph labels parallel to levels
     _canon: str | None = field(default=None, repr=False, compare=False)
     _shape: tuple | None = field(default=None, repr=False, compare=False)
     _counts: tuple | None = field(default=None, repr=False, compare=False)
@@ -35,24 +35,27 @@ class LevelTree:
         return sum(len(lv) for lv in self.levels)
 
     def validate(self) -> None:
-        if not self.levels or len(self.levels[0]) != 1 or self.levels[0][0].parent is not None:
-            raise UsageError("level 1 must contain exactly the parentless root")
-        for li in range(1, len(self.levels)):
-            prev = len(self.levels[li - 1])
-            for node in self.levels[li]:
-                if node.parent is None or not 0 <= node.parent < prev:
-                    raise UsageError(f"bad parent reference at level {li + 1}")
+        """UsageError unless the levels form a tree (see ``child_counts``)."""
+        self.child_counts()
 
     def child_counts(self) -> tuple[tuple[int, ...], ...]:
         """Per level, each node's number of children in stored level order
         (the last level's are all 0), memoized.  Unlike ``canonical_form`` it
-        needs no AHU pass; a malformed tree raises UsageError."""
+        needs no AHU pass.  The same pass checks that level 1 is ``(None,)``,
+        that no level is empty and that each parent is an int index into the
+        level above, and raises UsageError where one is not."""
         if self._counts is None:
-            self.validate()
-            counts = [[0] * len(level) for level in self.levels]
-            for below, level in zip(counts, self.levels[1:]):
-                for node in level:
-                    below[node.parent] += 1
+            levels = self.levels
+            if not levels or len(levels[0]) != 1 or levels[0][0] is not None:
+                raise UsageError("level 1 must contain exactly the parentless root")
+            counts = [[0] * len(level) for level in levels]
+            for li, (above, level) in enumerate(zip(counts, levels[1:]), 2):
+                if not level:
+                    raise UsageError(f"level {li} is empty")
+                for p in level:
+                    if not isinstance(p, int) or not 0 <= p < len(above):
+                        raise UsageError(f"bad parent reference at level {li}")
+                    above[p] += 1
             self._counts = tuple(map(tuple, counts))
         return self._counts
 
@@ -70,7 +73,7 @@ class LevelTree:
     def canonical_literal(self) -> str:
         """AHU canonical form: equal strings iff the trees are isomorphic."""
         if self._canon is None:
-            canonical_form(self)
+            self._canon = _ahu(self)
         return self._canon
 
 
@@ -145,14 +148,14 @@ def extract_k_adjacent_tree(g: Graph, root, k: int, mode: str = "undirected") ->
                                key=lambda w: (color[w], w))
 
     labels = g.labels
-    levels: list[list[TreeNode]] = [[TreeNode(None, node_id=labels[root])]]
+    levels, node_ids = [(None,)], [(labels[root],)]
     pos = {root: 0}
     for ids in level_ids[1:]:
-        # ids ascend, so a stable sort by parent position breaks ties by index
-        order = sorted(ids, key=lambda v: pos[parent_of[v]])
-        levels.append([TreeNode(pos[parent_of[v]], node_id=labels[v]) for v in order])
-        pos = {v: i for i, v in enumerate(order)}
-    return LevelTree(levels)
+        placed = sorted((pos[parent_of[v]], v) for v in ids)
+        levels.append(tuple(p for p, _ in placed))
+        node_ids.append(tuple(labels[v] for _, v in placed))
+        pos = {v: i for i, (_, v) in enumerate(placed)}
+    return LevelTree(tuple(levels), tuple(node_ids))
 
 
 def _literal_key(s: str) -> tuple[int, str]:
@@ -165,67 +168,70 @@ def parse_tree_literal(s: str) -> LevelTree:
 
     A literal lists each level's nodes in depth-first order, which is the
     level order itself: a node's parent is the last node opened one level up.
+    One vectorized pass over the code points finds each open's level, its
+    parent and the child counts.
     """
     s = s.strip()
     if not s:
         raise TreeLiteralError("empty literal", 0)
-    levels: list[list[TreeNode]] = []
-    depth = 0   # nodes opened and not yet closed
-    for pos, ch in enumerate(s):
-        if ch == "(":
-            if depth == len(levels):
-                levels.append([])
-            levels[depth].append(TreeNode(len(levels[depth - 1]) - 1 if depth else None))
-            depth += 1
-        elif ch == ")":
-            if not depth:
-                raise TreeLiteralError("unmatched ')'", pos)
-            depth -= 1
-            if not depth and pos != len(s) - 1:
-                raise TreeLiteralError("trailing characters after root", pos + 1)
-        else:
-            raise TreeLiteralError(f"unexpected character {ch!r}", pos)
-    if depth:
-        raise TreeLiteralError("unbalanced literal", len(s))
-    return LevelTree(levels)
+    n = len(s)
+    code = np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    opens, closes = code == 40, code == 41   # "(" and ")"
+    depth = (opens.view(np.int8) - closes.view(np.int8)).cumsum()   # after each character
+    at = np.flatnonzero(opens)
+    # unless there are as many closes as opens and nothing else, and only the
+    # last close ends the root: the first fault a left-to-right scan meets
+    if not (2 * len(at) == n and depth[-1] == 0 and depth[:-1].min() > 0):
+        bad = ~(opens | closes) | (closes & (depth <= 0))
+        bad[-1] &= not (closes[-1] and depth[-1] == 0)
+        pos = int(bad.argmax())
+        if not bad[pos]:
+            raise TreeLiteralError("unbalanced literal", n)
+        if not (opens[pos] or closes[pos]):
+            raise TreeLiteralError(f"unexpected character {s[pos]!r}", pos)
+        if depth[pos] < 0:
+            raise TreeLiteralError("unmatched ')'", pos)
+        raise TreeLiteralError("trailing characters after root", pos + 1)
+
+    level = depth[at]                  # 1-based: the root's open leaves depth 1
+    key = np.sort(level * n + at)      # the opens by (level, position): level order
+    sizes = np.bincount(level)         # sizes[i]: the nodes on level i; sizes[0] = 0
+    ends = sizes.cumsum()
+    # one past each non-root node's parent, the last open one level up before it
+    found = np.searchsorted(key, key[1:] - n)
+    parents = (found - np.repeat(ends[:-2] + 1, sizes[2:])).tolist()   # within its level
+    counts = np.bincount(found, minlength=len(at) + 1)[1:].tolist()
+    ends = ends.tolist()
+    levels = [(None,)] + [tuple(parents[a - 1:b - 1]) for a, b in zip(ends[1:-1], ends[2:])]
+    return LevelTree(tuple(levels), _counts=tuple(
+        tuple(counts[a:b]) for a, b in zip(ends[:-1], ends[1:])))
 
 
-def _ahu(t: LevelTree) -> tuple[str, list[list[list[int]]]]:
-    """AHU canonical form, one level at a time from the bottom up.
-
-    Returns the root's literal and, per level, each node's children in
-    canonical order: ascending by (literal length, literal).  A malformed
-    tree raises UsageError.
-    """
+def _ahu(t: LevelTree) -> str:
+    """AHU canonical literal, one level at a time from the bottom up: each
+    node's children in ascending (literal length, literal).  A malformed
+    tree raises UsageError."""
     t.validate()
     below: list[str] = []
-    ordered: list[list[list[int]]] = [[] for _ in range(t.depth)]
     for i in range(t.depth - 1, -1, -1):
         key = [_literal_key(s) for s in below]
         kids_by_node: list[list[int]] = [[] for _ in t.levels[i]]
         for c in sorted(range(len(below)), key=key.__getitem__):
-            kids_by_node[t.levels[i + 1][c].parent].append(c)
-        ordered[i] = kids_by_node
+            kids_by_node[t.levels[i + 1][c]].append(c)
         below = ["(" + "".join([below[c] for c in kids]) + ")" for kids in kids_by_node]
-    return below[0], ordered
+    return below[0]
 
 
 def to_tree_literal(t: LevelTree) -> str:
     """Serialize in AHU-canonical order: isomorphic trees serialize identically."""
-    return _ahu(t)[0]
+    return _ahu(t)
 
 
 def canonical_form(t: LevelTree) -> tuple[str, tuple[tuple[int, ...], ...]]:
     """The AHU literal of ``t`` and its shape: per level, the child counts of
-    its nodes in canonical level order (the order ``parse_tree_literal`` gives
-    the literal, where each node's children follow its left siblings'
-    children).  Isomorphic trees get equal values; both are memoized on ``t``."""
+    its nodes in canonical level order, which is the literal's parsed child
+    counts (each node's children follow its left siblings' children).
+    Isomorphic trees get equal values; both are memoized on ``t``."""
     if t._shape is None:
-        t._canon, ordered = _ahu(t)
-        shape = []
-        order = [0]   # the level's node indices in canonical order
-        for kids in ordered:
-            shape.append(tuple(len(kids[q]) for q in order))
-            order = [c for q in order for c in kids[q]]
-        t._shape = tuple(shape)
+        t._shape = parse_tree_literal(t.canonical_literal()).child_counts()
     return t._canon, t._shape

@@ -18,7 +18,6 @@ from nedist.ned import TreeDistanceCache, ned, ned_directed, tree_for
 from nedist.ted import UNIT, W_PLUS, ted_star, ted_star_distance_only
 from nedist.tree import (
     LevelTree,
-    TreeNode,
     canonical_form,
     parse_tree_literal,
     to_tree_literal,
@@ -29,24 +28,24 @@ SCHEMES = {"unit": UNIT, "wplus": W_PLUS}
 
 def rendering(t: LevelTree, rng: random.Random) -> LevelTree:
     """The same tree with every level's nodes in a random order."""
-    levels = [[TreeNode(None)]]
+    levels = [(None,)]
     new_pos = [0]
     for level in t.levels[1:]:
         order = list(range(len(level)))
         rng.shuffle(order)
-        levels.append([TreeNode(new_pos[level[i].parent]) for i in order])
+        levels.append(tuple(new_pos[level[i]] for i in order))
         new_pos = [0] * len(level)
         for pos, i in enumerate(order):
             new_pos[i] = pos
-    return LevelTree(levels)
+    return LevelTree(tuple(levels))
 
 
 def children_lists(t: LevelTree) -> list[list[list[int]]]:
     """Per level, each node's child indices one level down."""
     out = [[[] for _ in level] for level in t.levels]
     for i, level in enumerate(t.levels[1:]):
-        for c, node in enumerate(level):
-            out[i][node.parent].append(c)
+        for c, parent in enumerate(level):
+            out[i][parent].append(c)
     return out
 
 
@@ -101,14 +100,12 @@ def ahu_calls(monkeypatch):
 
 
 def test_canonical_form_is_memoized_and_leaves_the_tree_as_it_is(ahu_calls):
-    t = LevelTree([[TreeNode(None, "r")], [TreeNode(0, "x"), TreeNode(0, "y")],
-                   [TreeNode(0, "z")]])
+    t = LevelTree(((None,), (0, 0), (0,)), (("r",), ("x", "y"), ("z",)))
     literal, shape = canonical_form(t)
     assert (literal, shape) == ("(()(()))", ((2,), (0, 1), (0,)))
     assert canonical_form(t)[1] is shape
     assert len(ahu_calls) == 1
-    assert [[(n.parent, n.node_id) for n in level] for level in t.levels] == [
-        [(None, "r")], [(0, "x"), (0, "y")], [(0, "z")]]
+    assert (t.levels, t.node_ids) == (((None,), (0, 0), (0,)), (("r",), ("x", "y"), ("z",)))
 
 
 def test_ted_star_canonizes_each_tree_once(ahu_calls):
@@ -127,8 +124,7 @@ def test_depth_three_ted_star_runs_no_canonical_pass(ahu_calls):
         assert ted_star(a, b, w)[0] == ted_star(rendering(b, rng), a, w)[0]
     assert ahu_calls == []
     # a malformed tree is still refused: a second root, a parent out of range
-    for bad in (LevelTree([[TreeNode(None), TreeNode(None)]]),
-                LevelTree([[TreeNode(None)], [TreeNode(0)], [TreeNode(1)]])):
+    for bad in (LevelTree(((None, None),)), LevelTree(((None,), (0,), (1,)))):
         for t1, t2 in ((bad, a), (a, bad)):
             with pytest.raises(UsageError):
                 ted_star(t1, t2)

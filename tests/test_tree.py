@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -10,7 +11,6 @@ from nedist.ned import TreeDistanceCache, tree_for
 from nedist.ted import ted_star
 from nedist.tree import (
     LevelTree,
-    TreeNode,
     extract_k_adjacent_tree,
     parse_tree_literal,
     to_tree_literal,
@@ -66,8 +66,8 @@ def test_directed_extraction_modes():
     in_t = extract_k_adjacent_tree(g, "a", 2, "in")
     assert to_tree_literal(out_t) == "(())"
     assert to_tree_literal(in_t) == "(())"
-    assert out_t.levels[1][0].node_id == "b"
-    assert in_t.levels[1][0].node_id == "c"
+    assert out_t.node_ids[1][0] == "b"
+    assert in_t.node_ids[1][0] == "c"
 
 
 def test_extraction_rejects_a_mode_the_graph_lacks():
@@ -123,17 +123,16 @@ def test_pinned_extracted_trees():
     # alone leaves the shapes, and so test_pinned_extracted_shapes, as they are
     digest = hashlib.sha256()
     for t in pinned_pool():
-        digest.update(repr([[(n.parent, n.node_id) for n in level]
-                            for level in t.levels]).encode())
+        digest.update(repr([list(zip(parents, ids))
+                            for parents, ids in zip(t.levels, t.node_ids)]).encode())
     assert digest.hexdigest() == \
         "0a164979def0030e5acb4e76e67761389302d031b830f2557b5d04ef70bfcee2"
 
 
 def test_extracted_siblings_are_contiguous():
     for t in pinned_pool():
-        for level in t.levels[1:]:
-            parents = [n.parent for n in level]
-            assert parents == sorted(parents)
+        for parents in t.levels[1:]:
+            assert list(parents) == sorted(parents)
 
 
 def test_no_color_refinement_without_a_choice_of_parent(monkeypatch):
@@ -167,16 +166,16 @@ def test_color_refinement_where_a_node_has_two_candidate_parents(monkeypatch):
     t = extract_k_adjacent_tree(g, "a", 3)
     assert len(calls) == 1
     assert t.canonical_literal() == "(()(()))"
-    assert [n.node_id for n in t.levels[1]] == ["b", "d"]
+    assert t.node_ids[1] == ("b", "d")
     # b and d get one color, so the smaller node index decides
-    assert [(n.parent, n.node_id) for n in t.levels[2]] == [(0, "c")]
+    assert (t.levels[2], t.node_ids[2]) == ((0,), ("c",))
 
 
 def test_node_ids_preserved():
     g = parse_edge_list(PATH5)
     t = extract_k_adjacent_tree(g, "b", 2)
-    assert t.levels[0][0].node_id == "b"
-    assert sorted(n.node_id for n in t.levels[1]) == ["a", "c"]
+    assert t.node_ids[0] == ("b",)
+    assert sorted(t.node_ids[1]) == ["a", "c"]
 
 
 def test_parse_round_trip():
@@ -206,30 +205,63 @@ def test_parse_errors_carry_position():
         parse_tree_literal("(x)")
 
 
+def parser_outcomes():
+    """Per literal, the error text, or the per-level parent tuples and the
+    child counts: seeded random strings, strings that open with the root,
+    and literals that need stripping or hold a non-ASCII character."""
+    rng = random.Random(5)
+    literals = ["".join(rng.choice("()x ") for _ in range(rng.randint(0, 14)))
+                for _ in range(5000)]
+    literals += ["(" + "".join(rng.choice("()") for _ in range(rng.randint(0, 18))) + ")"
+                 for _ in range(2000)]
+    literals += ["(é)", "(\ud800)", "  (()())  ", "\t(())\n", "\u3000()\u3000", " ( ) ",
+                 "(()) ()"]
+    for s in literals:
+        try:
+            t = parse_tree_literal(s)
+        except TreeLiteralError as exc:
+            yield str(exc)
+        else:
+            yield repr((t.levels, t.child_counts()))
+
+
+def test_pinned_parser_outcomes():
+    # pinned from the character-by-character parser the vectorized one replaced
+    digest = hashlib.sha256()
+    for outcome in parser_outcomes():
+        digest.update((outcome + "\n").encode())
+    assert digest.hexdigest() == \
+        "d2972df0055290bf0cbc6788c022ce5bb16007736cfc44335ea1e94e533efd24"
+
+
 def test_levels_and_children():
     t = parse_tree_literal("(()(()))")
     assert t.depth == 3
     assert [len(lv) for lv in t.levels] == [1, 2, 1]
-    assert [node.parent for node in t.levels[1]] == [0, 0]
-    assert [node.parent for node in t.levels[2]] in ([0], [1])
+    assert t.levels[1] == (0, 0)
+    assert t.levels[2] in ((0,), (1,))
 
 
 def test_validate_rejects_bad_roots():
     with pytest.raises(UsageError):
-        LevelTree(levels=[[TreeNode(parent=0)]]).validate()
+        LevelTree(levels=((0,),)).validate()
     with pytest.raises(UsageError):
-        LevelTree(levels=[[TreeNode(parent=None), TreeNode(parent=None)]]).validate()
+        LevelTree(levels=((None, None),)).validate()
     with pytest.raises(UsageError):
-        LevelTree(levels=[[TreeNode(parent=None)],
-                          [TreeNode(parent=3)]]).validate()
+        LevelTree(levels=((None,), (3,))).validate()
 
 
 MALFORMED = {
-    "empty": [],
-    "parent out of range": [[TreeNode(None)], [TreeNode(3)]],
-    "parentless non-root": [[TreeNode(None)], [TreeNode(None)]],
-    "two roots": [[TreeNode(None), TreeNode(None)]],
-    "root with a parent": [[TreeNode(0)]],
+    "empty": (),
+    "parent out of range": ((None,), (3,)),
+    "parentless non-root": ((None,), (None,)),
+    "two roots": ((None, None),),
+    "root with a parent": ((0,),),
+    "float parent": ((None,), (0.0,)),
+    "str parent": ((None,), ("0",)),
+    # "()" with an empty level below: one class must have one key
+    "empty level": ((None,), ()),
+    "empty levels below the leaves": ((None,), (0,), (), ()),
 }
 
 
