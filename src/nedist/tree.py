@@ -20,6 +20,13 @@ from .graph import Graph
 
 @dataclass
 class LevelTree:
+    """A rooted tree as per-level parent tuples (see the module docstring).
+
+    ``levels`` must be a tuple of tuples, and ``validate`` rejects any other
+    container: equality compares the containers as given, so a list of the
+    same parents would make an unequal twin.
+    """
+
     levels: tuple[tuple[int | None, ...], ...]
     node_ids: tuple[tuple, ...] | None = None   # graph labels parallel to levels
     _canon: str | None = field(default=None, repr=False, compare=False)
@@ -41,11 +48,14 @@ class LevelTree:
     def child_counts(self) -> tuple[tuple[int, ...], ...]:
         """Per level, each node's number of children in stored level order
         (the last level's are all 0), memoized.  Unlike ``canonical_form`` it
-        needs no AHU pass.  The same pass checks that level 1 is ``(None,)``,
-        that no level is empty and that each parent is an int index into the
-        level above, and raises UsageError where one is not."""
+        needs no AHU pass.  The same pass checks that the levels are a tuple
+        of tuples, that level 1 is ``(None,)``, that no level is empty and
+        that each parent is an int index into the level above, and raises
+        UsageError where one is not."""
         if self._counts is None:
             levels = self.levels
+            if not (isinstance(levels, tuple) and all(isinstance(lv, tuple) for lv in levels)):
+                raise UsageError("levels must be a tuple of tuples")
             if not levels or len(levels[0]) != 1 or levels[0][0] is not None:
                 raise UsageError("level 1 must contain exactly the parentless root")
             counts = [[0] * len(level) for level in levels]
@@ -77,59 +87,85 @@ class LevelTree:
         return self._canon
 
 
-def _refine_colors(nodes: list[int], depth_of: dict[int, int], adj) -> dict[int, int]:
-    """Structure-derived colors on a node set, seeded with BFS depth.
+def _refine_colors(depth_of: dict[int, int], adj, choosers: dict[int, list[int]]) -> dict[int, int]:
+    """The parent of each node in ``choosers``, taken from its list of
+    candidate parents by structure-derived colors on the ball ``depth_of``.
 
-    Iterated neighborhood refinement: each round, a node's color becomes the
-    rank of (old color, sorted multiset of neighbor colors), ranks taken
-    over the sorted distinct signatures.  The result depends only on the
-    induced structure, never on how nodes happen to be numbered.
+    Iterated neighborhood refinement, seeded with BFS depth: each round, a
+    node's color becomes the rank of (old color, sorted multiset of in-ball
+    neighbor colors), ranks taken over the sorted distinct signatures.  A node
+    takes its candidate with the smallest color.  A round ranks by the old
+    color first, so it splits classes but never reorders them, and a candidate
+    whose color is strictly smallest stays so at the fixed point: refinement
+    stops after the first round that gives every list such a candidate.
+    Round 1 orders one node's candidates, which share a depth, by their sorted
+    neighbor depths, so it is checked on the candidates alone, and whole-ball
+    rounds run only where it leaves a tie.  Ties that last to the fixed point
+    go to the smaller node index.  Colors depend only on the induced
+    structure, never on how nodes happen to be numbered.
     """
-    color = {v: depth_of[v] for v in nodes}
+    round1 = {u: sorted([depth_of[w] for w in adj[u] if w in depth_of])
+              for cands in choosers.values() for u in cands}
+    chosen = _choose(choosers, round1, final=False)
+    if chosen is not None:
+        return chosen
+    color = depth_of
     classes = len(set(color.values()))
-    for _ in range(len(nodes)):
+    while True:   # each round adds classes, until a round adds none
         sig = {v: (color[v], tuple(sorted(color[w] for w in adj[v] if w in color)))
-               for v in nodes}
+               for v in depth_of}
         ranking = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        color = {v: ranking[sig[v]] for v in nodes}
-        if len(ranking) == classes:
-            break
+        color = {v: ranking[sig[v]] for v in depth_of}
+        chosen = _choose(choosers, color, final=len(ranking) == classes)
+        if chosen is not None:
+            return chosen
         classes = len(ranking)
-    return color
+
+
+def _choose(choosers: dict[int, list[int]], color, final: bool) -> dict[int, int] | None:
+    """Each node's candidate with the smallest color, or None where one
+    node's smallest color is tied, unless ``final``: ties then go to the
+    smaller node index."""
+    chosen = {}
+    for v, cands in choosers.items():
+        (c, best), (c2, _) = sorted([(color[u], u) for u in cands])[:2]
+        if c == c2 and not final:
+            return None
+        chosen[v] = best
+    return chosen
 
 
 def extract_k_adjacent_tree(g: Graph, root, k: int, mode: str = "undirected") -> LevelTree:
     """BFS tree of ``root`` truncated to ``k`` levels.
 
     Level sets come from plain breadth-first search.  A node's candidate
-    parents are its neighbors one level up.  Where each node has one, it
-    takes it.  Where some node has two or more, structure-derived colors are
-    computed, and each node takes the candidate with the smallest color, ties
-    to the smallest internal node index, so relabeling a graph can change the
-    tree: in the circulant graph C10(1,3), node 0 and its image under a
-    shuffled relabeling get trees at TED* 2 for k = 4 (ROADMAP.md,
+    parents are the nodes one level up that reach it.  Where each node has
+    one, it takes it, and no colors are computed.  Where some node has two or
+    more, colors are refined only until every such node's choice is fixed
+    (``_refine_colors``), and each takes the candidate with the smallest
+    color, ties to the smallest internal node index, so relabeling a graph can
+    change the tree: in the circulant graph C10(1,3), node 0 and its image
+    under a shuffled relabeling get trees at TED* 2 for k = 4 (ROADMAP.md,
     "k-adjacent trees that do not depend on node order").  Each level is
     ordered by (parent's position, node index), which keeps siblings
     contiguous.  Trailing levels are absent when BFS exhausts the graph
-    before depth k.
+    before depth k.  The tree's child counts are stored as it is built.
     """
     check_count(k, "k")
     root = g.resolve(root)
     g.neighbors(root, mode)   # rejects a mode this graph does not have
-    # BFS follows ``down``; a node's candidate parents are its ``up`` neighbors
-    down, up = ((g.radj, g.adj) if mode == "in"
-                else (g.adj, g.radj if g.directed else g.adj))
+    down = g.radj if mode == "in" else g.adj   # BFS follows these edges
     depth_of = {root: 0}
     level_ids: list[list[int]] = [[root]]
     parent_of: dict[int, int] = {}   # node -> the first candidate parent found
-    choice = False                   # whether some node has two or more
+    choosers: dict[int, list[int]] = {}   # node -> its candidates, where two or more
     frontier = [root]
     for d in range(1, k):
         found: dict[int, int] = {}
         for v in frontier:
             for w in down[v]:
                 if w in found:
-                    choice = True
+                    choosers.setdefault(w, [found[w]]).append(v)
                 elif w not in depth_of:
                     found[w] = v
         if not found:
@@ -139,23 +175,24 @@ def extract_k_adjacent_tree(g: Graph, root, k: int, mode: str = "undirected") ->
             depth_of[w] = d
         level_ids.append(frontier)
         parent_of.update(found)
-
-    if choice:
-        color = _refine_colors(list(depth_of), depth_of, down)
-        for v in parent_of:
-            d = depth_of[v] - 1
-            parent_of[v] = min((w for w in up[v] if depth_of.get(w) == d),
-                               key=lambda w: (color[w], w))
+    if choosers:
+        parent_of.update(_refine_colors(depth_of, down, choosers))
 
     labels = g.labels
-    levels, node_ids = [(None,)], [(labels[root],)]
+    levels, node_ids, counts = [(None,)], [(labels[root],)], []
     pos = {root: 0}
     for ids in level_ids[1:]:
-        placed = sorted((pos[parent_of[v]], v) for v in ids)
-        levels.append(tuple(p for p, _ in placed))
-        node_ids.append(tuple(labels[v] for _, v in placed))
+        placed = sorted([(pos[parent_of[v]], v) for v in ids])
+        parents = tuple([p for p, _ in placed])
+        kids = [0] * len(pos)
+        for p in parents:
+            kids[p] += 1
+        levels.append(parents)
+        counts.append(tuple(kids))
+        node_ids.append(tuple([labels[v] for _, v in placed]))
         pos = {v: i for i, (_, v) in enumerate(placed)}
-    return LevelTree(tuple(levels), tuple(node_ids))
+    counts.append((0,) * len(pos))
+    return LevelTree(tuple(levels), tuple(node_ids), _counts=tuple(counts))
 
 
 def _literal_key(s: str) -> tuple[int, str]:

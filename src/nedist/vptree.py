@@ -245,16 +245,15 @@ class VpIndex:
         return len(self.items)
 
 
-def _signature_groups(g: Graph, nodes, k: int):
-    """Distinct node signatures among ``nodes``: a (representative, members)
-    pair per isomorphism class, in order of first appearance, each class's
-    nodes in the order of ``nodes``."""
+def _signature_groups(sigs):
+    """Distinct signatures among ``sigs``: a (representative, members) pair
+    per isomorphism class, in order of first appearance, the members being
+    the positions in ``sigs`` of the class's signatures, ascending."""
     groups: dict = {}
-    for v in nodes:
-        s = signature(g, v, k)
+    for i, s in enumerate(sigs):
         # tuple() of a list: of a generator it leaves the GC's allocation count raised
         key = tuple([t.class_key() for t in signature_trees(s)])
-        groups.setdefault(key, (s, []))[1].append(v)
+        groups.setdefault(key, (s, []))[1].append(i)
     return list(groups.values())
 
 
@@ -270,9 +269,9 @@ def build_index(g: Graph, k: int, seed: int = 0,
     if g.n == 0:
         raise UsageError("cannot index an empty graph")
     cache = cache or TreeDistanceCache()
-    groups = _signature_groups(g, range(g.n), k)
-    return VpIndex([signature(g, v, k) for v in range(g.n)],
-                   signature_distance(cache.distance),
+    sigs = [signature(g, v, k) for v in range(g.n)]
+    groups = _signature_groups(sigs)
+    return VpIndex(sigs, signature_distance(cache.distance),
                    [members for _, members in groups],
                    SignatureBound([s for s, _ in groups], cache.weights, k),
                    labels=g.labels)
@@ -303,7 +302,7 @@ def hausdorff_graph_distance(a: Graph, b: Graph, k: int,
         nodes = range(g.n)
         if sample is not None and sample < g.n:
             nodes = random.Random(seed * 2 + salt).sample(list(nodes), sample)
-        return [s for s, _ in _signature_groups(g, nodes, k)]
+        return [s for s, _ in _signature_groups([signature(g, v, k) for v in nodes])]
 
     def directed_distance(sigs_from, sigs_to):
         index = VpIndex(sigs_to, dist, None, SignatureBound(sigs_to, cache.weights, k))

@@ -1,12 +1,13 @@
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
 import nedist.tree as tree_module
 from nedist.errors import TreeLiteralError, UsageError
 from nedist.experiments import random_graph
-from nedist.graph import Graph, parse_edge_list
+from nedist.graph import Graph, build_graph, parse_edge_list
 from nedist.ned import TreeDistanceCache, tree_for
 from nedist.ted import ted_star
 from nedist.tree import (
@@ -171,6 +172,85 @@ def test_color_refinement_where_a_node_has_two_candidate_parents(monkeypatch):
     assert (t.levels[2], t.node_ids[2]) == ((0,), ("c",))
 
 
+def fixed_point_rounds(nodes, depth_of, adj):
+    """Each round's colors of the color refinement run to its fixed point,
+    as extraction ran it before it stopped once every parent choice was
+    fixed: the last entry is the fixed point."""
+    color = {v: depth_of[v] for v in nodes}
+    rounds = [color]
+    classes = len(set(color.values()))
+    for _ in range(len(nodes)):
+        sig = {v: (color[v], tuple(sorted(color[w] for w in adj[v] if w in color)))
+               for v in nodes}
+        ranking = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        color = {v: ranking[sig[v]] for v in nodes}
+        rounds.append(color)
+        if len(ranking) == classes:
+            break
+        classes = len(ranking)
+    return rounds
+
+
+def reference_tree(g, root, k, mode):
+    """The tree extraction gave with fixed-point colors: each non-root node
+    takes the ``min((color[w], w))`` of its neighbors one level up.  Also
+    returns the first round whose colors fix every choice, or None where a
+    tie lasts to the fixed point and the node index decides."""
+    down, up = ((g.radj, g.adj) if mode == "in"
+                else (g.adj, g.radj if g.directed else g.adj))
+    depth_of, level_ids = {root: 0}, [[root]]
+    while len(level_ids) < k:
+        below = sorted({w for v in level_ids[-1] for w in down[v] if w not in depth_of})
+        if not below:
+            break
+        depth_of.update(dict.fromkeys(below, len(level_ids)))
+        level_ids.append(below)
+    rounds = fixed_point_rounds(list(depth_of), depth_of, down)
+    cands = {v: [w for w in up[v] if depth_of.get(w) == depth_of[v] - 1]
+             for ids in level_ids[1:] for v in ids}
+    parent_of = {v: min(ws, key=lambda w: (rounds[-1][w], w)) for v, ws in cands.items()}
+
+    def fixes_every_choice(color):
+        smallest = (sorted(color[w] for w in ws)[:2] for ws in cands.values())
+        return all(len(two) == 1 or two[0] < two[1] for two in smallest)
+    fixed_at = next((r for r, color in enumerate(rounds) if fixes_every_choice(color)), None)
+    levels, node_ids, pos = [(None,)], [(g.labels[root],)], {root: 0}
+    for ids in level_ids[1:]:
+        placed = sorted((pos[parent_of[v]], v) for v in ids)
+        levels.append(tuple(p for p, _ in placed))
+        node_ids.append(tuple(g.labels[v] for _, v in placed))
+        pos = {v: i for i, (_, v) in enumerate(placed)}
+    return LevelTree(tuple(levels), tuple(node_ids)), fixed_at
+
+
+def test_extraction_equals_fixed_point_refinement():
+    # shuffled circulants C_n(1,3), where parent ties are common, and the
+    # pinned pool's graphs at the depths it does not pin
+    cases = []
+    for n in range(7, 16):
+        for seed in range(3):
+            perm = list(range(n))
+            random.Random(seed).shuffle(perm)
+            g = build_graph([str(i) for i in range(n)],
+                            [(perm[i], perm[(i + a) % n]) for i in range(n) for a in (1, 3)],
+                            directed=False)
+            cases += [(g, k, "undirected") for k in range(2, 8)]
+    for seed in range(10):
+        g = random_graph(40 + seed, 64 + 2 * seed, seed=seed, directed=seed % 2 == 1)
+        cases += [(g, k, mode) for k in (6, 7)
+                  for mode in (("in", "out") if g.directed else ("undirected",))]
+    fixed_at = Counter()
+    for g, k, mode in cases:
+        for v in range(g.n):
+            want, r = reference_tree(g, v, k, mode)
+            t = extract_k_adjacent_tree(g, v, k, mode)
+            assert (t.levels, t.node_ids) == (want.levels, want.node_ids), (v, k, mode)
+            assert t.child_counts() == LevelTree(t.levels).child_counts()
+            fixed_at["no choice" if r == 0 else r if r in (None, 1) else "later"] += 1
+    # choices fixed by round 1, by a later round, and left to the node index
+    assert fixed_at.keys() == {"no choice", 1, "later", None}
+
+
 def test_node_ids_preserved():
     g = parse_edge_list(PATH5)
     t = extract_k_adjacent_tree(g, "b", 2)
@@ -262,6 +342,9 @@ MALFORMED = {
     # "()" with an empty level below: one class must have one key
     "empty level": ((None,), ()),
     "empty levels below the leaves": ((None,), (0,), (), ()),
+    # equality compares the containers: a list would make an unequal twin
+    "list of levels": [(None,), (0, 0)],
+    "list level": ((None,), [0, 0]),
 }
 
 

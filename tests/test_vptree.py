@@ -214,7 +214,7 @@ def assert_index_is_exact(g, k, scheme, nodes, radii):
     5th distance or the radius, no more (the walk stays lazy).  Returns the
     signatures refined per knn query."""
     index = build_index(g, k, cache=TreeDistanceCache(scheme))
-    distinct = len(_signature_groups(g, range(g.n), k))
+    distinct = len(_signature_groups([signature(g, v, k) for v in range(g.n)]))
     assert len(index.groups) == distinct
     bound = index._bound
     refined = []
@@ -412,7 +412,7 @@ def test_group_keys_partition_as_canonical_literals(directed):
                         + "p0 p1\np1 p2\n", directed=directed)
     path = [g.resolve(p) for p in ("p0", "p1", "p2")]
     for k in range(1, 6):
-        groups = _signature_groups(g, range(g.n), k)
+        groups = _signature_groups([signature(g, v, k) for v in range(g.n)])
         assert sorted(members for _, members in groups) == literal_partition(g, k), k
         if k >= 4:
             kinds = {type(t.class_key()) for s, _ in groups for t in signature_trees(s)}
