@@ -405,8 +405,8 @@ def k_effect_study(g1: Graph, g2: Graph, num_queries: int, k_range=range(1, 7),
     rng = random.Random(seed)
     queries = (sorted(rng.sample(range(g1.n), num_queries))
                if num_queries < g1.n else list(range(g1.n)))
-    # the distance depends only on the two canonical literals, so one cache
-    # serves every k
+    # the cache keys by the trees' class keys (``LevelTree.class_key``),
+    # which do not depend on k, so one cache serves every k
     cache = TreeDistanceCache()
     r = 0 if l > g2.n else None   # with l past g2's size only matches count
     rows = []

@@ -44,9 +44,10 @@ same M = (D - P_3) / 2 equally priced nodes, so every state the tie search
 could record has one total and one breakdown: M moves at level 2, or M
 re-insertions at level 3 where ``move_cost(2) > 2 * leaf_cost(3)``.  That
 takes a sort, O(n log n); deeper trees run the level search, whose
-matchings take O(n^3) per level.  Integer and Fraction weights stay exact at
-any size: where a level's entries could leave int64 its matrix holds Python
-ints, which the matching solves with its exact solver.
+matchings take O(n^3) per level.  Weights are read as ints or Fractions
+(``WeightScheme``), so distances stay exact at any size: where a level's
+entries could leave int64 its matrix holds Python ints, which the matching
+solves with its exact solver.
 """
 
 from __future__ import annotations
@@ -75,8 +76,14 @@ class WeightScheme:
     level L to another costs ``move_cost(L)``.  Either can be a mapping
     {level: weight} (levels are 1-based, the root is level 1; unlisted
     levels default to 1) or a callable level -> weight.  Each weight must be
-    a real number above 0: a mapping's are checked here, a callable's each
-    time ``leaf_cost`` or ``move_cost`` reads one (UsageError otherwise).
+    a finite real number above 0: a mapping's are checked here, a callable's
+    each time ``leaf_cost`` or ``move_cost`` reads one (UsageError otherwise).
+
+    Weights are read exactly (``exact_number``): ``0.3`` is 3/10, as in a
+    weight file, and distances are an ``int`` or a ``Fraction``.  A long
+    decimal such as ``0.1 * 3 + 0.07`` (0.37000000000000005) scales the
+    level matrices by 10 ** 17, so levels wider than 24 nodes leave scipy
+    for the pure-Python matching, 20 to 40 times slower (README).
 
     The distance is the cost of the cheapest edit script the level-by-level
     algorithm finds under these prices, including scripts that delete and
@@ -92,33 +99,40 @@ class WeightScheme:
     def from_table(cls, rows, name: str = "file") -> "WeightScheme":
         """Build from (level, leaf_weight, move_weight) triples; weights are
         parsed exactly (Fractions), unlisted levels cost 1."""
-        leaf: dict[int, Fraction] = {}
-        move: dict[int, Fraction] = {}
-        for level, w1, w2 in rows:
-            leaf[int(level)] = Fraction(w1)
-            move[int(level)] = Fraction(w2)
-        return cls(leaf=leaf, move=move, name=name)
+        rows = [(int(level), Fraction(w1), Fraction(w2)) for level, w1, w2 in rows]
+        return cls(leaf={L: w for L, w, _ in rows}, move={L: w for L, _, w in rows}, name=name)
 
 
 def _per_level(spec, what: str) -> Callable[[int], object]:
-    """``spec`` as a checked function level -> weight."""
+    """``spec`` as a checked function level -> exact weight."""
     if spec is None:
         return lambda level: 1
     if callable(spec):
         return lambda level: _check_weight(spec(level), f"{what} weight at level {level}")
     if isinstance(spec, Mapping):
-        for level, w in spec.items():
-            _check_weight(w, f"weight for level {level}")
-        table = dict(spec)
+        table = {level: _check_weight(w, f"weight for level {level}") for level, w in spec.items()}
         return lambda level: table.get(level, 1)
     raise UsageError("weight spec must be a mapping, callable, or None")
 
 
 def _check_weight(w, what: str):
-    """``w`` if it is a real number above 0 (not NaN), else UsageError."""
-    if not (isinstance(w, numbers.Real) and w > 0):
-        raise UsageError(f"{what} must be a positive number, got {w!r}")
-    return w
+    """``w`` read by ``exact_number`` if it is finite and above 0, else UsageError."""
+    exact = exact_number(w)
+    if exact is None or not exact > 0:
+        raise UsageError(f"{what} must be a finite positive number, got {w!r}")
+    return exact
+
+
+def exact_number(x):
+    """``x`` read exactly, or None if it is not a finite real number: an
+    ``int`` or a ``Fraction`` as given, another integer (numpy's) as an
+    ``int``, and a float (Python's or numpy's) as the decimal it prints as,
+    ``Fraction(str(x))``, so ``0.3`` is 3/10, as in a weight file."""
+    if type(x) is int or type(x) is Fraction:
+        return x
+    if isinstance(x, numbers.Integral):   # numpy's integers
+        return int(x)
+    return Fraction(str(x)) if isinstance(x, numbers.Real) and math.isfinite(x) else None
 
 
 def check_scheme(weights) -> WeightScheme:
@@ -256,40 +270,31 @@ def _inverse(perm) -> list[int]:
 
 def _search_costs(leaf, move):
     """The per-level ``leaf`` and ``move`` costs (index 0 is level 1) on one
-    exact scale, with the dtype of the matrices they enter, and the scale.
-
-    Rational weights are multiplied by their common denominator so that the
-    level matchings run on integer matrices; float weights stay floats.
-    """
-    if any(isinstance(w, float) for w in leaf + move):
-        return leaf, move, float, 1
-    scale = 1
-    if not all(type(w) is int for w in leaf + move):
-        scale = math.lcm(*(Fraction(w).denominator for w in leaf + move))
-        leaf = [int(w * scale) for w in leaf]
-        move = [int(w * scale) for w in move]
-    return leaf, move, np.int64, scale
+    exact scale, and the scale: the weights times their common denominator,
+    so that the level matchings run on integer matrices."""
+    scale = math.lcm(*(w.denominator for w in leaf + move))
+    return [int(w * scale) for w in leaf], [int(w * scale) for w in move], scale
 
 
 def bound_weights(weights: WeightScheme, k: int):
     """The weights of TED*'s lower bound over levels 1..k (``nedist.vptree``):
-    (size, count, unit, exact), index 0 is level 1.
+    (size, count, unit, integral), index 0 is level 1.
 
     ``unit`` times the bound is the sum over levels i of ``size[i]`` times
     the difference of the two level sizes, plus, for levels 1..k - 1,
     ``count[i]`` times the L1 distance of level i's child counts, each sorted
     and padded with zeros.  With c_i = min(move(i), 2 leaf(i + 1)) and c_0 = 0,
-    ``size[i]`` is 2 leaf(i) - c_(i-1) and ``count[i]`` is c_i, both on the
-    scale of ``_search_costs``, so that integer and Fraction weights give
-    integers and ``exact``; float weights give floats.
+    ``size[i]`` is 2 leaf(i) - c_(i-1) and ``count[i]`` is c_i, both integers
+    on the scale of ``_search_costs``.  ``integral`` tells whether every
+    weight read is an ``int``, so that TED* over these levels is one too.
     """
     check_scheme(weights)
     leaf_w = [weights.leaf_cost(level) for level in range(1, k + 1)]
     move_w = [weights.move_cost(level) for level in range(1, k)]
-    leaf, move, dtype, scale = _search_costs(leaf_w, move_w)
+    leaf, move, scale = _search_costs(leaf_w, move_w)
     count = [min(m, 2 * l) for m, l in zip(move, leaf[1:])]
     size = [2 * l - c for l, c in zip(leaf, [0] + count)]
-    return size, count, 2 * scale, dtype is not float
+    return size, count, 2 * scale, all(type(w) is int for w in leaf_w + move_w)
 
 
 def _split_table(spans, labels, prices, partner_cols):
@@ -390,17 +395,16 @@ def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
         shape_a, shape_b, sizes_a, sizes_b = shape_b, shape_a, sizes_b, sizes_a
     shape_a += ((),) * (k - len(shape_a))
     shape_b += ((),) * (k - len(shape_b))
-    leaf, move, dtype, _ = _search_costs(leaf_w, move_w)
+    leaf, move, _ = _search_costs(leaf_w, move_w)
     # spans_a[i]: each level-i node's children, as an index range one level down
     spans_a = [_spans(counts) for counts in shape_a]
     spans_b = [_spans(counts) for counts in shape_b]
     # a reinsert matrix entry, and a dual over it, stay within twice the paying
     # side's children at their top price move[i]; where that could leave int64
     # the matrices hold Python ints, which the matching solves exactly
-    if dtype is np.int64 and any(
-            reinsert[i] and 2 * min(sizes_a[i + 1], sizes_b[i + 1]) * move[i] >= 2 ** 63
-            for i in range(1, k - 1)):   # the levels the loop below matches
-        dtype = object
+    dtype = object if any(
+        reinsert[i] and 2 * min(sizes_a[i + 1], sizes_b[i + 1]) * move[i] >= 2 ** 63
+        for i in range(1, k - 1)) else np.int64   # the levels the loop below matches
     moved_at = [1 << (_OP_BITS * i) for i in range(k)]
     reinserted_at = [1 << (_OP_BITS * (k + i)) for i in range(k)]
 

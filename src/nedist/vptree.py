@@ -36,10 +36,9 @@ sorted and padded with zeros.  At depth <= 3 LB is TED*'s closed form
 query reads each distance from its bound and refines nothing.  At any depth
 LB <= TED*: each level's matching re-parents at least (D_i - P_(i+1)) / 2
 children, with P_(i+1) the padding one level down, and each costs at least
-c_i, a move or a delete and re-insert.  Integer and Fraction weights give
-the bound in exact scaled integers; float weights only order the
-refinement, since a rounded LB can sit above a rounded distance, so a float
-index prunes no group.
+c_i, a move or a delete and re-insert.  Every weight is read as an int or
+a Fraction (``WeightScheme``), so the bound is in exact scaled integers
+under every scheme.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ import math
 import numbers
 import random
 from collections import Counter
-from fractions import Fraction
 from itertools import chain, islice, repeat
 
 import numpy as np
@@ -57,13 +55,17 @@ import numpy as np
 from .errors import UsageError, check_count
 from .graph import Graph
 from .ned import TreeDistanceCache, signature, signature_distance, signature_trees
-from .ted import bound_weights
+from .ted import bound_weights, exact_number
 
 
 def _check_radius(r):
-    """UsageError unless ``r`` is a real number >= 0 (not NaN)."""
-    if not (isinstance(r, numbers.Real) and r >= 0):
+    """``r`` read exactly, as a weight is (``exact_number``: a float as the
+    decimal it prints as), if it is a real number >= 0 (not NaN), else
+    UsageError; infinity stays ``math.inf``."""
+    exact = math.inf if isinstance(r, numbers.Real) and r == math.inf else exact_number(r)
+    if exact is None or not exact >= 0:
         raise UsageError(f"radius must be a real number >= 0, got {r!r}")
+    return exact
 
 
 class SignatureBound:
@@ -71,9 +73,9 @@ class SignatureBound:
     ``weights``, over levels 1..k.
 
     Calling it with a query returns one value per representative: ``unit``
-    times its LB, an integer where ``exact``.  Levels deeper than k add
-    nothing, so a query deeper than k gets a lower LB.  ``is_distance`` tells
-    whether those values are ``unit`` times TED* itself.
+    times its LB, an integer.  Levels deeper than k add nothing, so a query
+    deeper than k gets a lower LB.  ``is_distance`` tells whether those
+    values are ``unit`` times TED* itself.
     """
 
     def __init__(self, reps, weights, k: int):
@@ -81,13 +83,11 @@ class SignatureBound:
             raise UsageError("cannot bound against zero signatures")
         sides = len(signature_trees(reps[0]))
         reps = [signature_trees(s, sides) for s in reps]
-        size, count, self.unit, self.exact = bound_weights(weights, check_count(k, "k"))
+        size, count, self.unit, integral = bound_weights(weights, check_count(k, "k"))
         self.k = k
         # LB is TED*'s closed form at depth <= 3, and under int weights TED*
         # is an int, as LB // unit is
-        self._closed = (k <= 3
-                        and all(type(weights.leaf_cost(i)) is int for i in range(1, k + 1))
-                        and all(type(weights.move_cost(i)) is int for i in range(1, k))
+        self._closed = (k <= 3 and integral
                         and all(t.depth <= k for trees in reps for t in trees))
         # per tree of a signature, per level 1..k - 1, the widest child count
         self._widths = [[max((max(trees[side].child_counts()[i], default=0)
@@ -101,8 +101,7 @@ class SignatureBound:
             for i in range(k):
                 w.append(size[i])
                 w += [count[i]] * (widths[i] + 1) if i < k - 1 else []
-        self._weights = np.array(w, dtype=(float if not self.exact else
-                                           np.int64 if max(w) < 2 ** 63 else object))
+        self._weights = np.array(w, dtype=np.int64 if max(w) < 2 ** 63 else object)
         self._rows = np.array([self._vector(trees) for trees in reps], dtype=np.int64)
         # an LB is at most the top weight times a row's and the query's sums
         self._top_weight = max(w)
@@ -131,7 +130,7 @@ class SignatureBound:
     def __call__(self, query) -> np.ndarray:
         q = self._vector(signature_trees(query, len(self._widths)))
         w = self._weights
-        if self.exact and self._top_weight * (self._top_row + sum(q)) >= 2 ** 63:
+        if self._top_weight * (self._top_row + sum(q)) >= 2 ** 63:
             w = w.astype(object)   # Python ints: exact past int64
         return np.abs(self._rows - np.array(q, dtype=np.int64)) @ w
 
@@ -148,8 +147,7 @@ class VpIndex:
     entry.  ``groups`` partitions the entry indices into ascending lists
     whose entries are at one distance from every query (one group per entry
     when None).  ``bound`` maps a query to one lower bound per group on
-    ``bound.unit`` times that distance; where ``bound.exact`` is false it
-    only orders the groups, and every group is refined.  Where
+    ``bound.unit`` times that distance, exactly comparable with it.  Where
     ``bound.is_distance(query)`` holds, the bounds are ``unit`` times the
     distances, and the query refines nothing.
     """
@@ -180,15 +178,11 @@ class VpIndex:
         nothing more.
         """
         unit = self._bound.unit
-        if r is None:
-            r = limit = math.inf
-        else:   # r on the bound's scale, exactly
-            _check_radius(r)
-            limit = unit * (r if isinstance(r, numbers.Rational) or math.isinf(r) else Fraction(float(r)))
+        r = math.inf if r is None else _check_radius(r)
+        limit = unit * r   # r on the bound's scale, exactly
         lbs = np.asarray(self._bound(query))
         order = np.argsort(lbs, kind="stable")
-        # an inexact bound only orders the groups: each is refined before any yield
-        lbs = lbs[order].tolist() if self._bound.exact else [-math.inf] * len(order)
+        lbs = lbs[order].tolist()
         order = order.tolist()
         closed = self._bound.is_distance(query)
         pending: list[tuple] = []   # taken, not yet yielded: a heap of (distance, group)
@@ -236,10 +230,9 @@ class VpIndex:
         """Reference scan over every entry (used to verify exactness)."""
         if l is not None:
             check_count(l, "l")
-        if r is not None:
-            _check_radius(r)
+        r = math.inf if r is None else _check_radius(r)
         dists = sorted((self._distance(query, item), i) for i, item in enumerate(self.items))
-        return [(self.labels[i], d) for d, i in dists if r is None or d <= r][:l]
+        return [(self.labels[i], d) for d, i in dists if d <= r][:l]
 
     def __len__(self):
         return len(self.items)

@@ -101,7 +101,7 @@ def test_weighted_ted_star_equals_oracle(scheme):
 
 
 def test_float_weights_equal_oracle():
-    # an int leaf cost beside float move costs keeps the matrices in floats
+    # float move costs beside an int leaf cost are read as their decimals
     scheme = WeightScheme(move=lambda level: 2.5 * level)
     trees = list(enumerate_trees(5))
     for a in trees:

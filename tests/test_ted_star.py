@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -11,7 +12,7 @@ from nedist.assignment import matching_with_duals
 from nedist.errors import InvariantError, UsageError
 from nedist.experiments import random_graph, random_tree
 from nedist.oracle import exact_ted_star
-from nedist.ned import tree_for
+from nedist.ned import TreeDistanceCache, tree_for
 from nedist.ted import (
     UNIT,
     W_PLUS,
@@ -24,6 +25,7 @@ from nedist.ted import (
     ted_star_distance_only,
 )
 from nedist.tree import parse_tree_literal as P
+from nedist.vptree import build_index
 from schemes import criterion_1_random_scheme
 
 
@@ -227,13 +229,68 @@ def test_weight_scheme_rejects_nonpositive():
 
 def test_weight_scheme_rejects_nan_and_non_real_weights():
     nan = float("nan")
-    for bad in (nan, 1j, "2", None):
+    for bad in (nan, 1j, "2", None, math.inf, -math.inf, np.float32("inf")):
         with pytest.raises(UsageError):
             WeightScheme(leaf={2: bad})
         with pytest.raises(UsageError):
             WeightScheme(move=lambda level: bad).move_cost(1)
     with pytest.raises(UsageError):
         ted_star(P("(()())"), P("((()))"), WeightScheme(move=lambda level: nan))
+    # an infinite move price once left the matching spinning on this pair;
+    # the reads above fail first, so a regression fails here and does not hang
+    with pytest.raises(UsageError, match="finite"):
+        ted_star(P("((())(((()()()()))((()()())(()()()))))"),
+                 P("(()()(())(())(()(()()(()())))((()(())(()))(()(())(()()()()))"
+                   "(()()()(())(()()))))"), WeightScheme(move=lambda level: math.inf))
+
+
+def test_float_weights_are_read_as_their_decimals():
+    w = WeightScheme(leaf={2: 0.1}, move=lambda level: 0.3)
+    assert w.leaf_cost(2) == Fraction(1, 10) and type(w.leaf_cost(2)) is Fraction
+    assert w.move_cost(5) == Fraction(3, 10)
+    assert WeightScheme(leaf={2: np.float32(0.1)}).leaf_cost(2) == Fraction(1, 10)
+    assert type(WeightScheme(leaf={2: np.int64(3)}).leaf_cost(2)) is int
+
+
+def test_float_schemes_equal_their_decimal_fraction_schemes():
+    # a float weight is read once as Fraction(str(w)), so every result,
+    # breakdown included, is the one the Fraction scheme of those decimals gives
+    def leaf(level):
+        return 0.1 * level + 0.07
+
+    def move(level):
+        return 0.3 * level + 0.11
+
+    floats = WeightScheme(leaf=leaf, move=move)
+    decimals = WeightScheme(leaf=lambda level: Fraction(str(leaf(level))),
+                            move=lambda level: Fraction(str(move(level))))
+    rng = random.Random(22)
+    for _ in range(80):
+        a, b = (random_tree(rng.randint(2, 60), rng.randint(2, 7), rng) for _ in "ab")
+        assert repr(ted_star(a, b, floats)) == repr(ted_star(a, b, decimals))
+
+
+def test_numpy_weights_equal_python_weights():
+    # numpy floats once came back as np.float32 at depth 3 and raised a bare
+    # TypeError at depth 4 and in build_index; numpy ints now read as ints
+    as_numpy = WeightScheme(leaf=lambda level: np.float32(0.5),
+                            move=lambda level: np.float32(1.5))
+    as_fractions = WeightScheme(leaf=lambda level: Fraction(1, 2),
+                                move=lambda level: Fraction(3, 2))
+    ints_numpy = WeightScheme(leaf={2: np.int64(3)}, move=lambda level: np.int64(2 * level))
+    ints = WeightScheme(leaf={2: 3}, move=lambda level: 2 * level)
+    pairs = [(P("((()())(()))"), P("(()(()()))")),            # depth 3
+             (P("(((()))(()))"), P("((()())(()))"))]          # depth 4
+    g = random_graph(30, 50, seed=23)
+    for numpy_scheme, python_scheme in ((as_numpy, as_fractions), (ints_numpy, ints)):
+        for a, b in pairs:
+            assert repr(ted_star(a, b, numpy_scheme)) == repr(ted_star(a, b, python_scheme))
+        for k in (3, 4):
+            index = build_index(g, k, cache=TreeDistanceCache(numpy_scheme))
+            reference = build_index(g, k, cache=TreeDistanceCache(python_scheme))
+            for v in range(0, g.n, 5):
+                q = tree_for(g, v, k)
+                assert repr(index.knn(q, 4)) == repr(reference.knn(q, 4))
 
 
 def test_mapping_weights_are_checked_once(monkeypatch):
@@ -350,9 +407,9 @@ def test_pinned_values_beyond_oracle_horizon():
 
 
 def test_pinned_float_weights_beyond_oracle_horizon():
-    # float prices round, so a change in the order the level search sums
-    # them in shows here first; depth >= 4 reaches this scheme's reinsert
-    # levels (move_cost(L) > 2 * leaf_cost(L + 1) from L = 3)
+    # float weights are read as their decimals, so every total is an exact
+    # Fraction; depth >= 4 reaches this scheme's reinsert levels
+    # (move_cost(L) > 2 * leaf_cost(L + 1) from L = 3)
     w = WeightScheme(leaf=lambda level: 0.1 * level + 0.07,
                      move=lambda level: 0.3 * level + 0.11, name="float")
     rng = random.Random(12)
@@ -363,7 +420,7 @@ def test_pinned_float_weights_beyond_oracle_horizon():
     for a, b in pairs:
         digest.update(repr(ted_star(a, b, w)).encode())
     assert digest.hexdigest() == \
-        "b11d622fc1bf6e17b388361c29b976d3528a32a1ffa778e54714176ce8248db2"
+        "14be7f669ceb32736c6058ae813937d04f572e994db7ba8a30683d7d611d8d3d"
 
 
 def test_pinned_wplus_scripts():
@@ -400,7 +457,7 @@ def test_pinned_depth_three_scripts():
         for a, b in pairs:
             digest.update(repr(ted_star(a, b, w)).encode())
     assert digest.hexdigest() == \
-        "eb4596433f7207f802faf0e5ea2bacfa35ead8952467bad3df4bb6ceea0702ff"
+        "f16a7695cd2af7ca8917bf8e8dac0b6878c05fb871007de5e774837ab5d8c07d"
 
 
 def test_pinned_exact_weights_beyond_oracle_horizon():

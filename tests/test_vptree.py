@@ -2,6 +2,7 @@ import gc
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nedist.errors import UsageError
@@ -23,9 +24,9 @@ from schemes import criterion_1_random_scheme
 
 FRACTION_SCHEME = WeightScheme(leaf=lambda L: Fraction(L, 3),
                                move=lambda L: Fraction(2 * L + 1, 7), name="fraction")
-BOUND_SCHEMES = [UNIT, W_PLUS, criterion_1_random_scheme(), FRACTION_SCHEME]
 FLOAT_SCHEME = WeightScheme(leaf=lambda L: 0.1 * L + 0.07, move=lambda L: 0.3 * L + 0.11,
                             name="float")
+BOUND_SCHEMES = [UNIT, W_PLUS, criterion_1_random_scheme(), FRACTION_SCHEME, FLOAT_SCHEME]
 # integer values, but TED* returns Fractions under it
 INT_FRACTION_SCHEME = WeightScheme(leaf=lambda L: Fraction(1),
                                    move=lambda L: Fraction(2 * L), name="int-fraction")
@@ -38,7 +39,6 @@ def int_metric(a, b):
 class HalfGap:
     """An exact lower bound on |q - x| per group value x: half the gap."""
     unit = 1
-    exact = True
 
     def __init__(self, values):
         self.values = values
@@ -50,27 +50,21 @@ class HalfGap:
         return False
 
 
-class InexactHalfGap(HalfGap):
-    """The same values, flagged as a bound that may not prune (as under
-    float weights): it only orders the groups."""
-    exact = False
-
-
-def int_index(items, groups=None, bound=HalfGap):
+def int_index(items, groups=None):
     """An index over ints under |a - b|, bounded by half the gap to each
     group's value."""
     firsts = [m[0] for m in groups] if groups is not None else range(len(items))
-    return VpIndex(items, int_metric, groups, bound([items[i] for i in firsts]))
+    return VpIndex(items, int_metric, groups, HalfGap([items[i] for i in firsts]))
 
 
-def make_index(n, seed=0, bound=HalfGap):
+def make_index(n, seed=0):
     """Random ints in 0..99, grouped by value."""
     rng = random.Random(seed)
     items = [rng.randrange(100) for _ in range(n)]
     groups: dict = {}
     for i, x in enumerate(items):
         groups.setdefault(x, []).append(i)
-    return int_index(items, list(groups.values()), bound), items
+    return int_index(items, list(groups.values())), items
 
 
 def test_knn_matches_linear_scan():
@@ -136,18 +130,6 @@ def test_pruning_saves_evaluations():
         _, evals = index.range_query(q, 4)
         assert evals <= 19   # the values within 9 are bounded by 4
 
-def test_an_inexact_bound_refines_every_group():
-    index, _ = make_index(300, seed=7, bound=InexactHalfGap)
-    for q in range(0, 100, 9):
-        for l in (1, 5):
-            got, evals = index.knn(q, l)
-            assert got == index.linear_scan(q, l=l)
-            assert evals == len(index.groups)
-        for r in (0, 3, 2.5):
-            got, evals = index.range_query(q, r)
-            assert got == index.linear_scan(q, r=r)
-            assert evals == len(index.groups)
-
 
 def test_query_argument_validation():
     index, _ = make_index(10)
@@ -209,10 +191,10 @@ def test_graph_index_round_trip():
 
 
 def assert_index_is_exact(g, k, scheme, nodes, radii):
-    """knn and range queries equal the scan; under an exact bound, each
-    refines exactly the signatures whose LB is at most ``unit`` times the
-    5th distance or the radius, no more (the walk stays lazy).  Returns the
-    signatures refined per knn query."""
+    """knn and range queries equal the scan, and each refines exactly the
+    signatures whose LB is at most ``unit`` times the 5th distance or the
+    radius (a float one read as its decimal), no more (the walk stays
+    lazy).  Returns the signatures refined per knn query."""
     index = build_index(g, k, cache=TreeDistanceCache(scheme))
     distinct = len(_signature_groups([signature(g, v, k) for v in range(g.n)]))
     assert len(index.groups) == distinct
@@ -224,15 +206,13 @@ def assert_index_is_exact(g, k, scheme, nodes, radii):
         got, evals = index.knn(q, 5)
         assert got == index.linear_scan(q, l=5), (g.labels[v], got)
         assert evals <= distinct
-        if bound.exact:
-            assert evals == sum(lb <= bound.unit * got[-1][1] for lb in lbs)
+        assert evals == sum(lb <= bound.unit * got[-1][1] for lb in lbs)
         refined.append(evals)
         for r in radii:
             got, evals = index.range_query(q, r)
             assert got == index.linear_scan(q, r=r), (g.labels[v], r)
             assert evals <= distinct
-            if bound.exact:
-                assert evals == sum(lb <= bound.unit * r for lb in lbs)
+            assert evals == sum(lb <= bound.unit * Fraction(str(r)) for lb in lbs)
     return refined
 
 
@@ -292,15 +272,38 @@ def test_pool_repro_where_the_triangle_inequality_fails():
             assert index.range_query(pool[q], r)[0] == index.linear_scan(pool[q], r=r)
 
 
-def test_float_schemes_refine_every_signature():
+def test_float_schemes_prune_as_exact_ones_do():
+    # a float weight is read as its decimal Fraction, so the bound is exact
+    # and skips groups: a float index once refined all 47 per query
     g = random_graph(50, 100, seed=12)
     index = build_index(g, 3, cache=TreeDistanceCache(FLOAT_SCHEME))
+    assert len(index.groups) == 47
     for v in range(0, 50, 7):
         q = tree_for(g, v, 3)
         got, evals = index.knn(q, 4)
         assert got == index.linear_scan(q, l=4)
-        assert evals == len(index.groups)
+        assert evals <= 4
         assert index.range_query(q, 0.5)[0] == index.linear_scan(q, r=0.5)
+    assert_index_is_exact(g, 3, FLOAT_SCHEME, range(0, 50, 7), (0.5, 0.37, Fraction(37, 100)))
+
+
+def test_a_float_radius_is_read_as_its_decimal_as_a_weight_is():
+    # one level-2 move apart: 3/10 under move={2: 0.3}, which a radius 0.3
+    # read as the binary float below 3/10 would drop
+    scheme = WeightScheme(move={2: 0.3})
+    pool = [P("((()())())"), P("((())(()))"), P("(()()())")]
+    index = VpIndex(pool, TreeDistanceCache(scheme).distance, None,
+                    SignatureBound(pool, scheme, 3))
+    near = [(0, 0), (1, Fraction(3, 10))]
+    for r in (0.3, np.float64(0.3), np.float32(0.3), Fraction(3, 10)):
+        assert index.range_query(pool[0], r)[0] == near
+        assert index.linear_scan(pool[0], r=r) == near
+    for r in (0.29, 0.2999999999):
+        assert index.range_query(pool[0], r)[0] == [(0, 0)]
+        assert index.linear_scan(pool[0], r=r) == [(0, 0)]
+    g = parse_edge_list("x y\nx z\ny y1\ny y2\np q\np r\nq q1\nr r1\n")
+    graph_index = build_index(g, 3, cache=TreeDistanceCache(scheme))
+    assert graph_index.range_query(tree_for(g, "x", 3), 0.3)[0] == [("x", 0), ("p", Fraction(3, 10))]
 
 
 def test_huge_weights_stay_exact():
@@ -337,7 +340,6 @@ def check_bound(a_trees, b_trees, scheme, bound_of):
 def test_bound_on_all_small_trees(scheme):
     trees = list(enumerate_trees(6))
     bound = SignatureBound(trees, scheme, 6)
-    assert bound.exact
     check_bound(trees, trees, scheme, bound)
 
 
