@@ -8,6 +8,7 @@ revisit a node, so neither can influence a distance.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -37,12 +38,15 @@ class Graph:
         return m if self.directed else m // 2
 
     def resolve(self, node) -> int:
-        """Map an external label (or an already-internal index) to an index."""
+        """Map an external label (a str) or an already-internal index (an
+        integral number) to an index; anything else is a UsageError."""
         if isinstance(node, str):
             try:
                 return self.index[node]
             except KeyError:
                 raise UsageError(f"unknown node label {node!r}") from None
+        if not isinstance(node, (int, numbers.Integral)):   # int first: the ABC check is slow
+            raise UsageError(f"a node is a str label or an integral index, got {node!r}")
         v = int(node)
         if not 0 <= v < self.n:
             raise UsageError(f"node index {v} out of range 0..{self.n - 1}")

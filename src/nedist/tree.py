@@ -157,10 +157,14 @@ def extract_k_adjacent_tree(g: Graph, root, k: int, mode: str = "undirected") ->
     down = g.radj if mode == "in" else g.adj   # BFS follows these edges
     depth_of = {root: 0}
     level_ids: list[list[int]] = [[root]]
-    parent_of: dict[int, int] = {}   # node -> the first candidate parent found
+    # level 2 is the root's adjacency list, sorted, and the root's children
+    frontier = down[root] if k > 1 else []
+    parent_of: dict[int, int] = dict.fromkeys(frontier, root)   # node -> first candidate found
+    depth_of.update(dict.fromkeys(frontier, 1))
     choosers: dict[int, list[int]] = {}   # node -> its candidates, where two or more
-    frontier = [root]
-    for d in range(1, k):
+    if frontier:
+        level_ids.append(frontier)
+    for d in range(2, k):
         found: dict[int, int] = {}
         for v in frontier:
             for w in down[v]:
@@ -171,27 +175,37 @@ def extract_k_adjacent_tree(g: Graph, root, k: int, mode: str = "undirected") ->
         if not found:
             break
         frontier = sorted(found)
-        for w in frontier:
-            depth_of[w] = d
+        depth_of.update(dict.fromkeys(found, d))
         level_ids.append(frontier)
         parent_of.update(found)
     if choosers:
         parent_of.update(_refine_colors(depth_of, down, choosers))
 
+    # each level in ascending node order, bucketed by parent, then the
+    # buckets in the stored order of the level above: (parent's position,
+    # node index) order, and the bucket sizes are the child counts
     labels = g.labels
     levels, node_ids, counts = [(None,)], [(labels[root],)], []
-    pos = {root: 0}
+    above = [root]
     for ids in level_ids[1:]:
-        placed = sorted([(pos[parent_of[v]], v) for v in ids])
-        parents = tuple([p for p, _ in placed])
-        kids = [0] * len(pos)
-        for p in parents:
-            kids[p] += 1
-        levels.append(parents)
-        counts.append(tuple(kids))
-        node_ids.append(tuple([labels[v] for _, v in placed]))
-        pos = {v: i for i, (_, v) in enumerate(placed)}
-    counts.append((0,) * len(pos))
+        if len(above) == 1:   # one bucket, as on level 2
+            counts.append((len(ids),))
+            levels.append((0,) * len(ids))
+            above = ids
+        else:
+            kids: dict[int, list[int]] = {}
+            for v in ids:
+                p = parent_of[v]
+                if p in kids:
+                    kids[p].append(v)
+                else:
+                    kids[p] = [v]
+            buckets = [kids.get(u, ()) for u in above]
+            counts.append(tuple(map(len, buckets)))
+            levels.append(tuple([i for i, b in enumerate(buckets) for _ in b]))
+            above = [v for b in buckets for v in b]
+        node_ids.append(tuple([labels[v] for v in above]))
+    counts.append((0,) * len(above))
     return LevelTree(tuple(levels), tuple(node_ids), _counts=tuple(counts))
 
 

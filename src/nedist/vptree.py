@@ -89,11 +89,9 @@ class SignatureBound:
         # is an int, as LB // unit is
         self._closed = (k <= 3 and integral
                         and all(t.depth <= k for trees in reps for t in trees))
-        # per tree of a signature, per level 1..k - 1, the widest child count
-        self._widths = [[max((max(trees[side].child_counts()[i], default=0)
-                              for trees in reps if i < trees[side].depth), default=0)
-                         for i in range(k - 1)]
-                        for side in range(sides)]
+        # per tree of a signature, per level 1..k - 1, the widest child count,
+        # and every representative's row (see _vector) in one array pass
+        self._widths, self._rows = self._bulk_rows(reps, sides)
         # the weight of each column, in the order _vector writes them: a level's
         # size, then its A_i(t) and the counts' excess over the widest
         w = []
@@ -102,10 +100,34 @@ class SignatureBound:
                 w.append(size[i])
                 w += [count[i]] * (widths[i] + 1) if i < k - 1 else []
         self._weights = np.array(w, dtype=np.int64 if max(w) < 2 ** 63 else object)
-        self._rows = np.array([self._vector(trees) for trees in reps], dtype=np.int64)
         # an LB is at most the top weight times a row's and the query's sums
         self._top_weight = max(w)
         self._top_row = int(self._rows.sum(axis=1).max())
+
+    def _bulk_rows(self, reps, sides: int):
+        """The widths and ``_vector`` of each of ``reps``, from one histogram
+        per tree side and level: A_i(t) is its reversed cumulative sum.  A
+        width is its level's largest count, so no representative's count
+        exceeds it and their excess column is 0."""
+        n = len(reps)
+        all_widths, columns = [], []
+        for side in range(sides):
+            counts = [trees[side].child_counts() for trees in reps]
+            widths = []
+            for i in range(self.k):
+                level = [c[i] if i < len(c) else () for c in counts]
+                sizes = np.fromiter(map(len, level), np.int64, n)
+                columns.append(sizes[:, None])
+                if i < self.k - 1:
+                    kids = np.fromiter(chain.from_iterable(level), np.int64, int(sizes.sum()))
+                    top = int(kids.max(initial=0))
+                    widths.append(top)
+                    cells = np.repeat(np.arange(0, n * (top + 1), top + 1), sizes) + kids
+                    hist = np.bincount(cells, minlength=n * (top + 1)).reshape(n, top + 1)
+                    columns += [hist[:, :0:-1].cumsum(axis=1)[:, ::-1],
+                                np.zeros((n, 1), np.int64)]
+            all_widths.append(widths)
+        return all_widths, np.hstack(columns)
 
     def _vector(self, trees) -> list[int]:
         v = []

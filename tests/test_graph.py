@@ -1,3 +1,6 @@
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from nedist.errors import EdgeListParseError, UsageError
@@ -7,6 +10,7 @@ from nedist.graph import (
     parse_edge_list,
     to_edge_list,
 )
+from nedist.ned import ned
 
 
 def test_parse_basic_undirected():
@@ -72,6 +76,13 @@ def test_resolve_label_index_and_errors():
         g.resolve("missing")
     with pytest.raises(UsageError):
         g.resolve(7)
+    assert g.resolve(np.int64(1)) == 1
+    # a non-integral number is refused, not truncated to a node
+    for bad in (1.5, 1.9, 1.0, Fraction(1), None, [1], (0,), b"a"):
+        with pytest.raises(UsageError):
+            g.resolve(bad)
+    with pytest.raises(UsageError):
+        ned(g, 1.9, g, 0, 2)
 
 
 def test_round_trip_through_edge_list():

@@ -3,14 +3,19 @@
 ``benchmarks/tracer.py`` wraps library functions at the names their callers
 look them up by, so renaming one of them breaks traced benchmark runs.  These
 tests install and remove the hooks without running the benchmark, and check
-that a traced distance deep enough to be matched counts its matrices.
+that a traced distance deep enough to be matched counts its matrices and
+that building an index is traced as one extraction per tree.
 """
 
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from nedist import ted
+from nedist.experiments import random_graph
 from nedist.tree import parse_tree_literal
+from nedist.vptree import build_index
 
 TRACER = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
 
@@ -47,3 +52,15 @@ def test_traced_depth_four_distance_counts_its_matrices():
         # levels 3 and 2 are matched: a 3 x 3 and a 2 x 2 matrix
         assert tracer.calls("ted.bipartite") == tracer.calls("assignment.matching") == 2
         assert tracer.counts["ted.bipartite.cells"] == 13
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_traced_index_build_counts_one_extraction_per_tree(directed):
+    g = random_graph(30, 45, seed=3, directed=directed)
+    tracer = load_tracer().Tracer().install()
+    try:
+        build_index(g, 3)
+    finally:
+        tracer.uninstall()
+    # one tree per node, or an in-tree and an out-tree per node
+    assert tracer.calls("tree.extract") == g.n * (2 if directed else 1)

@@ -397,6 +397,40 @@ def test_a_signature_deeper_than_k_keeps_the_bound_a_bound():
     assert not SignatureBound([shallow], UNIT, 4).is_distance(shallow)
 
 
+def assert_rows_are_vectors(reps, scheme, k):
+    """The representatives' rows, built in one array pass, equal ``_vector``
+    of each, and each width is its level's widest child count."""
+    bound = SignatureBound(reps, scheme, k)
+    trees = [signature_trees(s) for s in reps]
+    assert bound._rows.dtype == np.int64
+    assert bound._rows.tolist() == [bound._vector(t) for t in trees]
+    for side, widths in enumerate(bound._widths):
+        assert widths == [max((max(t[side].child_counts()[i], default=0)
+                               for t in trees if i < t[side].depth), default=0)
+                          for i in range(k - 1)]
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_bulk_rows_equal_each_representatives_vector(directed):
+    g = random_graph(60, 90, seed=16, directed=directed)
+    for k in range(1, 7):
+        reps = [s for s, _ in _signature_groups([signature(g, v, k) for v in range(g.n)])]
+        if k == 6:   # a sparse graph leaves some neighborhoods shallower than k
+            assert any(t.depth < k for s in reps for t in signature_trees(s))
+        assert_rows_are_vectors(reps, UNIT, k)
+    # criterion 1's pool, its trees deeper and shallower than k
+    rng = random.Random(11)
+    pool = [random_tree(rng.randint(2, 60), rng.randint(2, 6),
+                        seed=rng.randrange(1 << 30)) for _ in range(60)]
+    for k in (3, 6):
+        assert_rows_are_vectors(pool, W_PLUS, k)
+    assert_rows_are_vectors([P("()"), P("(())"), P("(()())")], UNIT, 4)
+    # weights past int64 leave the rows counts
+    huge = WeightScheme(leaf={2: 2 ** 62 + 1, 3: 3}, move={1: 2 ** 70, 2: 2 ** 61 + 7})
+    reps = [s for s, _ in _signature_groups([signature(g, v, 3) for v in range(g.n)])]
+    assert_rows_are_vectors(reps, huge, 3)
+
+
 def literal_partition(g, k):
     """The nodes of ``g`` grouped by their signatures' AHU literals."""
     parts: dict = {}
