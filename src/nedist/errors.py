@@ -36,7 +36,10 @@ class InvariantError(NedistError):
 
 
 def check_count(value, what: str):
-    """``value`` if it is an integer >= 1, else UsageError."""
-    if not (isinstance(value, numbers.Integral) and value >= 1):
+    """``value`` if it is an integer >= 1 (an int, or another integral number
+    such as a numpy integer), else UsageError; a ``bool`` is not a count."""
+    if type(value) is int and value >= 1:   # the common case skips the ABC check
+        return value
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
         raise UsageError(f"{what} must be an integer >= 1, got {value!r}")
     return value

@@ -38,19 +38,21 @@ class Graph:
         return m if self.directed else m // 2
 
     def resolve(self, node) -> int:
-        """Map an external label (a str) or an already-internal index (an
-        integral number) to an index; anything else is a UsageError."""
-        if isinstance(node, str):
-            try:
-                return self.index[node]
-            except KeyError:
-                raise UsageError(f"unknown node label {node!r}") from None
-        if not isinstance(node, (int, numbers.Integral)):   # int first: the ABC check is slow
-            raise UsageError(f"a node is a str label or an integral index, got {node!r}")
-        v = int(node)
-        if not 0 <= v < self.n:
-            raise UsageError(f"node index {v} out of range 0..{self.n - 1}")
-        return v
+        """Map a node to its index.  A node is an external label (a str) or an
+        already-internal index (an int, or another integral number such as a
+        numpy integer); anything else, a ``bool`` included, is a UsageError."""
+        if type(node) is not int:   # an exact int, the common case, skips the checks
+            if isinstance(node, str):
+                try:
+                    return self.index[node]
+                except KeyError:
+                    raise UsageError(f"unknown node label {node!r}") from None
+            if isinstance(node, bool) or not isinstance(node, numbers.Integral):
+                raise UsageError(f"a node is a str label or an int index, got {node!r}")
+            node = int(node)
+        if not 0 <= node < len(self.labels):
+            raise UsageError(f"node index {node} out of range 0..{self.n - 1}")
+        return node
 
     def neighbors(self, v, mode: str = "undirected") -> list[int]:
         """Neighbor indices of ``v``, sorted by internal index.
@@ -90,9 +92,7 @@ def build_graph(labels: list[str], edges: Iterable[tuple[int, int]], directed: b
         if i == j:
             continue
         out[i].add(j)
-        inn[j].add(i)
-        if not directed:
-            out[j].add(i)
+        inn[j].add(i)   # out[j] when undirected
     adj = [sorted(s) for s in out]
     radj = [sorted(s) for s in inn] if directed else None
     return Graph(directed=directed, labels=list(labels), adj=adj, radj=radj,
@@ -110,28 +110,19 @@ def parse_edge_list(text, directed: bool = False) -> Graph:
         lines = text.splitlines()
     else:
         lines = text
-    labels: list[str] = []
-    index: dict[str, int] = {}
+    index: dict[str, int] = {}   # label -> index, in first-appearance order
     edges: list[tuple[int, int]] = []
-
-    def intern(lab: str) -> int:
-        i = index.get(lab)
-        if i is None:
-            i = len(labels)
-            index[lab] = i
-            labels.append(lab)
-        return i
-
+    intern = index.setdefault
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith(COMMENT_PREFIXES):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith(COMMENT_PREFIXES):
             continue
-        tokens = line.split()
         if len(tokens) != 2:
             raise EdgeListParseError(
-                f"expected 2 tokens, got {len(tokens)}: {line!r}", line_no)
-        edges.append((intern(tokens[0]), intern(tokens[1])))
-    return build_graph(labels, edges, directed)
+                f"expected 2 tokens, got {len(tokens)}: {raw.strip()!r}", line_no)
+        a, b = tokens
+        edges.append((intern(a, len(index)), intern(b, len(index))))
+    return build_graph(list(index), edges, directed)
 
 
 def to_edge_list(g: Graph) -> str:

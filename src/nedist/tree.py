@@ -18,7 +18,7 @@ from .errors import TreeLiteralError, UsageError, check_count
 from .graph import Graph
 
 
-@dataclass
+@dataclass(slots=True)
 class LevelTree:
     """A rooted tree as per-level parent tuples (see the module docstring).
 
@@ -138,32 +138,41 @@ def _choose(choosers: dict[int, list[int]], color, final: bool) -> dict[int, int
 def extract_k_adjacent_tree(g: Graph, root, k: int, mode: str = "undirected") -> LevelTree:
     """BFS tree of ``root`` truncated to ``k`` levels.
 
-    Level sets come from plain breadth-first search.  A node's candidate
-    parents are the nodes one level up that reach it.  Where each node has
-    one, it takes it, and no colors are computed.  Where some node has two or
-    more, colors are refined only until every such node's choice is fixed
-    (``_refine_colors``), and each takes the candidate with the smallest
-    color, ties to the smallest internal node index, so relabeling a graph can
-    change the tree: in the circulant graph C10(1,3), node 0 and its image
-    under a shuffled relabeling get trees at TED* 2 for k = 4 (ROADMAP.md,
-    "k-adjacent trees that do not depend on node order").  Each level is
-    ordered by (parent's position, node index), which keeps siblings
-    contiguous.  Trailing levels are absent when BFS exhausts the graph
-    before depth k.  The tree's child counts are stored as it is built.
+    Level 2 is the root's sorted adjacency list, one bucket of the root's
+    children, so at k <= 2, or when the root has no neighbors, the tree is
+    written from that list and no BFS state is built.  Deeper level sets come
+    from plain breadth-first search.  A node's candidate parents are the nodes
+    one level up that reach it.  Where each node has one, it takes it, and no
+    colors are computed.  Where some node has two or more, colors are refined
+    only until every such node's choice is fixed (``_refine_colors``), and
+    each takes the candidate with the smallest color, ties to the smallest
+    internal node index, so relabeling a graph can change the tree: in the
+    circulant graph C10(1,3), node 0 and its image under a shuffled relabeling
+    get trees at TED* 2 for k = 4 (ROADMAP.md, "k-adjacent trees that do not
+    depend on node order").  Each level is ordered by (parent's position, node
+    index), which keeps siblings contiguous.  Trailing levels are absent when
+    BFS exhausts the graph before depth k.  The tree's child counts are stored
+    as it is built.
     """
     check_count(k, "k")
     root = g.resolve(root)
     g.neighbors(root, mode)   # rejects a mode this graph does not have
     down = g.radj if mode == "in" else g.adj   # BFS follows these edges
-    depth_of = {root: 0}
-    level_ids: list[list[int]] = [[root]]
-    # level 2 is the root's adjacency list, sorted, and the root's children
-    frontier = down[root] if k > 1 else []
-    parent_of: dict[int, int] = dict.fromkeys(frontier, root)   # node -> first candidate found
-    depth_of.update(dict.fromkeys(frontier, 1))
+    labels = g.labels
+    above = down[root] if k > 1 else []   # level 2: the root's adjacency list, sorted
+    if not above:   # k == 1, or an isolated root
+        return LevelTree(((None,),), ((labels[root],),), _counts=((0,),))
+    # one bucket: every node of level 2 is the root's child, and a leaf at k == 2
+    leaves = (0,) * len(above)
+    levels, counts = [(None,), leaves], [(len(above),)]
+    node_ids = [(labels[root],), tuple([labels[v] for v in above])]
+    if k == 2:   # no BFS state is built
+        return LevelTree(tuple(levels), tuple(node_ids), _counts=(counts[0], leaves))
+    depth_of = {root: 0, **dict.fromkeys(above, 1)}
+    parent_of: dict[int, int] = {}   # node -> first candidate found
     choosers: dict[int, list[int]] = {}   # node -> its candidates, where two or more
-    if frontier:
-        level_ids.append(frontier)
+    level_ids: list[list[int]] = []   # levels 3 and down
+    frontier = above
     for d in range(2, k):
         found: dict[int, int] = {}
         for v in frontier:
@@ -184,10 +193,7 @@ def extract_k_adjacent_tree(g: Graph, root, k: int, mode: str = "undirected") ->
     # each level in ascending node order, bucketed by parent, then the
     # buckets in the stored order of the level above: (parent's position,
     # node index) order, and the bucket sizes are the child counts
-    labels = g.labels
-    levels, node_ids, counts = [(None,)], [(labels[root],)], []
-    above = [root]
-    for ids in level_ids[1:]:
+    for ids in level_ids:
         if len(above) == 1:   # one bucket, as on level 2
             counts.append((len(ids),))
             levels.append((0,) * len(ids))

@@ -268,7 +268,11 @@ def _signature_groups(sigs):
     for i, s in enumerate(sigs):
         # tuple() of a list: of a generator it leaves the GC's allocation count raised
         key = tuple([t.class_key() for t in signature_trees(s)])
-        groups.setdefault(key, (s, []))[1].append(i)
+        group = groups.get(key)
+        if group is None:
+            groups[key] = (s, [i])
+        else:
+            group[1].append(i)
     return list(groups.values())
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -83,6 +85,12 @@ def test_resolve_label_index_and_errors():
             g.resolve(bad)
     with pytest.raises(UsageError):
         ned(g, 1.9, g, 0, 2)
+    # a bool is an int, but not a node: True is not node 1
+    for bad in (True, False, np.bool_(True)):
+        with pytest.raises(UsageError, match="a node is a str label or an int index"):
+            g.resolve(bad)
+    with pytest.raises(UsageError):
+        ned(g, True, g, 0, 2)
 
 
 def test_round_trip_through_edge_list():
@@ -103,3 +111,51 @@ def test_load_graph(tmp_path):
     p.write_text("a b\nb c\n")
     g = load_graph(p)
     assert g.n == 3
+
+
+def edge_list_outcomes():
+    """Per seeded text, read undirected and directed, and as one string and
+    as lines that keep their endings: the error text with its line number,
+    or the labels, ``adj`` and ``radj``.  The texts mix edges (with
+    duplicates, self-loops, tabs and padding), '#' and '%' comments, blank
+    and whitespace-only lines, and rarer 1- and 3-token lines, joined by LF
+    or CRLF."""
+    rng = random.Random(7)
+    names = ["a", "b", "c", "d", "e", "10", "x#y"]
+
+    def edge():
+        return rng.choice(names) + rng.choice([" ", "\t", "  ", " \t "]) + rng.choice(names)
+
+    kinds = [
+        (30, edge),
+        (6, lambda: rng.choice(["\t", " ", "  "]) + edge() + rng.choice(["", " ", "\t"])),
+        (4, lambda: rng.choice(["#", "%", " #", "\t%", "# "]) + rng.choice(["", "a b", "x", "1 2 3"])),
+        (4, lambda: rng.choice(["", " ", "\t", " \t ", "\u3000"])),
+        (1, lambda: rng.choice(names)),
+        (1, lambda: " ".join(rng.choice(names) for _ in range(3))),
+    ]
+    weights = [w for w, _ in kinds]
+    texts = []
+    for _ in range(600):
+        lines = [rng.choices(kinds, weights)[0][1]() for _ in range(rng.randint(0, 12))]
+        end = rng.choice(["\n", "\r\n"])
+        texts.append(end.join(lines) + rng.choice(["", end]))
+    texts += ["a\x0cb\n", "a b\x0bc d\n", "a\u00a0b\n", "\ufeffa b\n", "a b c\r\n"]
+    for text in texts:
+        for directed in (False, True):
+            for source in (text, text.splitlines(keepends=True)):
+                try:
+                    g = parse_edge_list(source, directed=directed)
+                except EdgeListParseError as exc:
+                    yield f"{exc} @ {exc.line_no}"
+                else:
+                    yield repr((g.labels, g.adj, g.radj))
+
+
+def test_pinned_edge_list_outcomes():
+    # pinned from the reader that stripped each line before splitting it
+    digest = hashlib.sha256()
+    for outcome in edge_list_outcomes():
+        digest.update((outcome + "\n").encode())
+    assert digest.hexdigest() == \
+        "a9c134ae636d4f06769cc72a4c1034ff67726fbd58aa17c6bc6eeed954a5e727"

@@ -57,10 +57,11 @@ def test_traced_depth_four_distance_counts_its_matrices():
 @pytest.mark.parametrize("directed", [False, True])
 def test_traced_index_build_counts_one_extraction_per_tree(directed):
     g = random_graph(30, 45, seed=3, directed=directed)
-    tracer = load_tracer().Tracer().install()
-    try:
-        build_index(g, 3)
-    finally:
-        tracer.uninstall()
-    # one tree per node, or an in-tree and an out-tree per node
-    assert tracer.calls("tree.extract") == g.n * (2 if directed else 1)
+    for k in (2, 3):   # k = 2 writes each tree from the root's adjacency list
+        tracer = load_tracer().Tracer().install()
+        try:
+            build_index(g, k)
+        finally:
+            tracer.uninstall()
+        # one tree per node, or an in-tree and an out-tree per node
+        assert tracer.calls("tree.extract") == g.n * (2 if directed else 1)

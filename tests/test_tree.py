@@ -56,7 +56,7 @@ def test_extraction_stops_at_component_boundary():
 
 def test_extraction_k_validation():
     g = parse_edge_list(PATH5)
-    for bad in (0, 2.5, 2.0, "2"):
+    for bad in (0, 2.5, 2.0, "2", True, False):
         with pytest.raises(UsageError):
             extract_k_adjacent_tree(g, "a", bad)
 
@@ -134,6 +134,17 @@ def test_extracted_siblings_are_contiguous():
     for t in pinned_pool():
         for parents in t.levels[1:]:
             assert list(parents) == sorted(parents)
+
+
+def test_extracted_child_counts_match_the_levels():
+    # the counts are written as the tree is built, on the k <= 2 path too,
+    # and an isolated root (c keeps no self-loop) is the one-node tree
+    isolated = parse_edge_list("a b\nc c\n")
+    trees = [extract_k_adjacent_tree(isolated, "c", k) for k in (1, 2, 3)]
+    assert {(t.levels, t.node_ids, t.child_counts()) for t in trees} == \
+        {(((None,),), (("c",),), ((0,),))}
+    for t in pinned_pool():
+        assert t.child_counts() == LevelTree(t.levels).child_counts()
 
 
 def test_no_color_refinement_without_a_choice_of_parent(monkeypatch):

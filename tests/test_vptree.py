@@ -165,6 +165,21 @@ def test_linear_scan_checks_its_arguments_as_the_queries_do():
     assert index.linear_scan(0, r=5) == index.range_query(0, 5)[0]
 
 
+def test_a_bool_is_not_a_count():
+    # a bool is an int, but True is not a depth of 1 nor a neighbor count of 1
+    g = parse_edge_list("a b\nb c\n")
+    index = build_index(g, 2)
+    for bad in (True, False):
+        with pytest.raises(UsageError, match="k must be an integer >= 1"):
+            tree_for(g, 0, bad)
+        with pytest.raises(UsageError, match="k must be an integer >= 1"):
+            build_index(g, bad)
+        with pytest.raises(UsageError, match="l must be an integer >= 1"):
+            index.knn(tree_for(g, 0, 2), bad)
+    assert g._tree_cache.keys() == {(0, 2, "undirected"), (1, 2, "undirected"),
+                                    (2, 2, "undirected")}
+
+
 def test_build_index_rejects_an_empty_graph():
     with pytest.raises(UsageError, match="empty graph"):
         build_index(parse_edge_list(""), 2)
