@@ -21,7 +21,6 @@ from .tree import (
     parse_tree_literal,
     to_tree_literal,
 )
-from .assignment import min_cost_perfect_matching
 from .ted import (
     UNIT,
     W_PLUS,
@@ -85,7 +84,6 @@ __all__ = [
     "hausdorff_graph_distance",
     "k_effect_study",
     "load_graph",
-    "min_cost_perfect_matching",
     "ned",
     "ned_directed",
     "parse_edge_list",

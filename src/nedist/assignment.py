@@ -1,25 +1,20 @@
 """Exact minimum-cost perfect matching on square cost matrices.
 
-A matrix wider than _SMALL_N that float64 holds exactly (float, or integer
-with every sum below 2 ** 53) is solved by scipy's O(n^3) implementation,
-with dual potentials recovered afterwards; every other matrix, Fractions and
-ints past int64 included, by an exact pure-Python Hungarian algorithm with
-potentials.  Either way the returned assignment is refined to the
-lexicographically smallest optimal one, with one reverse search per row, in
-O(n^3).  That optimum is unique, so the assignment does not depend on which
-optimal duals the solver returned; the duals themselves do, and the TED*
-tie search (``ted._tight_matchings``) reads them.
+An int64 matrix wider than _SMALL_N with every sum below 2 ** 53, which
+scipy sums exactly, is solved by scipy's O(n^3) implementation, with dual
+potentials recovered afterwards; every other matrix, object arrays of
+Fractions and of ints past int64 included, by an exact pure-Python Hungarian
+algorithm with potentials.  Either way the returned assignment is refined to
+the lexicographically smallest optimal one, with one reverse search per row,
+in O(n^3).  That optimum is unique, so the assignment does not depend on
+which optimal duals the solver returned; the duals themselves do, and the
+TED* tie search (``ted._tight_matchings``) reads them.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-
-from .errors import UsageError
 
 # at or below this size the pure-Python solver runs, above it scipy.  Speed
 # alone would switch near n = 6 (with the refinement, on a 2-core Xeon: 7 vs
@@ -27,29 +22,6 @@ from .errors import UsageError
 # switch also picks which optimal duals the TED* tie search reads, so moving
 # it changes TED* values (test_pinned_values_beyond_oracle_horizon)
 _SMALL_N = 24
-
-
-def _validate(matrix) -> np.ndarray:
-    """``matrix`` as an array, if it is a square, non-empty matrix of finite
-    non-negative real numbers (NaN is not one; an infinite row can leave no
-    finite matching).  Fractions and ints past int64 give an object array."""
-    try:
-        a = np.asarray(matrix)
-    except ValueError:   # ragged rows
-        raise UsageError("cost matrix must be a list of rows") from None
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
-        raise UsageError("cost matrix must be square and non-empty")
-    if a.dtype.kind == "f" and all(isinstance(x, numbers.Integral) for row in matrix for x in row):
-        # numpy rounds ints in [2 ** 63, 2 ** 64) beside smaller ones to float64
-        a = np.array(matrix, dtype=object)
-    if a.dtype.kind in "biuf":
-        ok = ((a >= 0) & (a < math.inf)).all()
-    else:   # object entries (Fraction, large int) are checked one by one
-        ok = a.dtype.kind == "O" and all(
-            isinstance(x, numbers.Real) and 0 <= x < math.inf for x in a.flat)
-    if not ok:
-        raise UsageError("cost matrix entries must be finite non-negative real numbers")
-    return a
 
 
 def _hungarian(matrix, n):
@@ -184,29 +156,19 @@ def _lex_min_refine(matrix, n, f, u, v):
     return f
 
 
-def min_cost_perfect_matching(matrix):
-    """Minimum-cost perfect matching of a square non-negative matrix.
-
-    Returns (cost, assignment) where assignment[i] is the column matched to
-    row i.  Among cost-equal optima the lexicographically smallest
-    assignment vector is returned.
-    """
-    cost, f, _, _ = matching_with_duals(_validate(matrix))
-    return cost, f
-
-
 def matching_with_duals(W: np.ndarray):
-    """(cost, assignment, u, v) of an unchecked square array, routed as the
-    module docstring says, with the tie-break of min_cost_perfect_matching;
-    the cost is summed from the entries, so it keeps their number type.
+    """(cost, assignment, u, v) of an unchecked square int64 or object
+    array, routed as the module docstring says.  assignment[i] is the column
+    matched to row i, and among cost-equal optima the assignment is the
+    lexicographically smallest vector; the cost is summed from the entries,
+    so it keeps their number type.
 
     The duals satisfy u[i] + v[j] <= W[i][j] with equality on every edge any
     optimal assignment uses, which lets callers enumerate cost-equal optima.
     """
     n = W.shape[0]
     listed = W.tolist()
-    if n > _SMALL_N and (W.dtype.kind == "f" or
-                         W.dtype.kind in "iu" and int(W.max()) * n < 2 ** 53):
+    if n > _SMALL_N and W.dtype.kind == "i" and int(W.max()) * n < 2 ** 53:
         f, u, v = _scipy_with_duals(W)
     else:
         f, u, v = _hungarian(listed, n)

@@ -23,7 +23,6 @@ from .experiments import (
     ted_closeness_study,
 )
 from .graph import load_graph
-from .assignment import min_cost_perfect_matching
 from .ned import TreeDistanceCache, signature, signature_trees, tree_for
 from .oracle import (
     enumerate_trees,
@@ -43,36 +42,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_rows(path: str, what: str, parse_line) -> list:
-    """``parse_line(tokens, where)`` of every line of the ``what`` file at
-    ``path`` that is neither blank nor a '#' comment; a data error where the
-    file cannot be read or a number in it cannot be parsed."""
-    rows = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if line and not line.startswith("#"):
-                    rows.append(parse_line(line.split(), f"{path}:{line_no}"))
-    except OSError as exc:
-        raise NedistError(f"cannot read {what} file {path}: {exc}") from exc
-    except (ValueError, ZeroDivisionError) as exc:
-        raise NedistError(f"bad number in {what} file {path}: {exc}") from exc
-    return rows
-
-
-def _weight_row(tokens, where):
-    if len(tokens) != 3:
-        raise NedistError(f"{where}: weight lines are 'level w1 w2'")
-    return int(tokens[0]), Fraction(tokens[1]), Fraction(tokens[2])
-
-
 def _weights_arg(spec: str) -> WeightScheme:
+    """A named scheme, or the table of the weight file at ``spec``: its lines
+    that are neither blank nor a '#' comment each hold 'level w1 w2'."""
     if spec == "unit":
         return UNIT
     if spec == "wplus":
         return W_PLUS
-    return WeightScheme.from_table(_read_rows(spec, "weight", _weight_row), name=spec)
+    rows = []
+    try:
+        with open(spec, "r", encoding="utf-8") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                tokens = raw.split()
+                if not tokens or tokens[0].startswith("#"):
+                    continue
+                if len(tokens) != 3:
+                    raise NedistError(f"{spec}:{line_no}: weight lines are 'level w1 w2'")
+                rows.append((int(tokens[0]), Fraction(tokens[1]), Fraction(tokens[2])))
+    except OSError as exc:
+        raise NedistError(f"cannot read weight file {spec}: {exc}") from exc
+    except (ValueError, ZeroDivisionError) as exc:
+        raise NedistError(f"bad number in weight file {spec}: {exc}") from exc
+    return WeightScheme.from_table(rows, name=spec)
 
 
 def _number(x) -> str:
@@ -196,9 +187,6 @@ def _build_parser() -> _Parser:
     q.add_argument("--queries", type=int, default=50)
     q.add_argument("--k-range", default="1:6")
     q.add_argument("-l", type=int, default=5)
-
-    p = command(sub, "match", _cmd_match, help="solve a cost-matrix matching (debugging)")
-    p.add_argument("--matrix", required=True)
 
     return top
 
@@ -335,13 +323,6 @@ def _cmd_k_effect(args):
         r["mean_nn0"] = f"{r['mean_nn0']:.2f}"
         r["mean_ties"] = f"{r['mean_ties']:.2f}"
     return _rows_to_lines(rows, ["k", "queries", "mean_nn0", "mean_ties"], args.format)
-
-
-def _cmd_match(args):
-    matrix = _read_rows(args.matrix, "matrix",
-                        lambda tokens, where: [Fraction(tok) for tok in tokens])
-    cost, assignment = min_cost_perfect_matching(matrix)
-    return [f"cost {_number(cost)}", "assignment " + " ".join(map(str, assignment))]
 
 
 def run(argv) -> int:

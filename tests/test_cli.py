@@ -207,15 +207,6 @@ def test_study_scaling_csv(capsys):
         ["20", "2", "2"], ["20", "3", "2"], ["40", "2", "2"], ["40", "3", "2"]]
 
 
-def test_match_with_weight_file(tmp_path, capsys):
-    mat = tmp_path / "m.txt"
-    mat.write_text("1 2 3\n2 4 6\n3 6 9\n")
-    assert run(["match", "--matrix", str(mat)]) == 0
-    out = capsys.readouterr().out
-    assert "cost 10" in out
-    assert "assignment 2 1 0" in out
-
-
 def test_weight_file(tmp_path, capsys):
     wf = tmp_path / "w.txt"
     wf.write_text("# level leaf move\n2 1/2 1\n")
@@ -231,19 +222,25 @@ def test_bad_weight_file(tmp_path):
                 "--weights", str(wf)]) == 2
 
 
+def test_non_positive_weight_in_a_file_is_a_usage_error(tmp_path, capsys):
+    wf = tmp_path / "w.txt"
+    wf.write_text("2 0 1\n")
+    assert run(["dist", "--tree1", "()", "--tree2", "()", "--weights", str(wf)]) == 1
+    assert capsys.readouterr().err == (
+        "error: weight for level 2 must be a finite positive number, got Fraction(0, 1)\n")
+
+
 # a command line reading each kind of input file from the given path
 INPUT_FILE_COMMANDS = {
     "graph": lambda path: ["ktree", "--graph", path, "--node", "a", "--k", "2"],
-    "matrix": lambda path: ["match", "--matrix", path],
     "weights": lambda path: ["dist", "--tree1", "()", "--tree2", "()", "--weights", path],
 }
 
 
 @pytest.mark.parametrize("kind, message", [
     ("graph", "error: [Errno 2] No such file or directory: "),
-    ("matrix", "error: cannot read matrix file {path}: "),
     ("weights", "error: cannot read weight file {path}: "),
-], ids=["graph", "matrix", "weights"])
+], ids=["graph", "weights"])
 def test_unreadable_input_files_are_data_errors(kind, message, tmp_path, capsys):
     missing = str(tmp_path / "missing.txt")
     assert run(INPUT_FILE_COMMANDS[kind](missing)) == 2
@@ -253,10 +250,8 @@ def test_unreadable_input_files_are_data_errors(kind, message, tmp_path, capsys)
 @pytest.mark.parametrize("kind, text, message", [
     pytest.param("graph", "a b\nb c d\n", "error: line 2: expected 2 tokens, got 3: ",
                  id="graph-fields"),
-    pytest.param("matrix", "1 x\n2 3\n", "error: bad number in matrix file {path}: ",
-                 id="matrix-bad-number"),
-    pytest.param("matrix", "1/0 1\n1 1\n", "error: bad number in matrix file {path}: ",
-                 id="matrix-zero-denominator"),
+    pytest.param("weights", "2 x 1\n", "error: bad number in weight file {path}: ",
+                 id="weights-bad-number"),
     pytest.param("weights", "2 1/0 1\n", "error: bad number in weight file {path}: ",
                  id="weights-zero-denominator"),
     pytest.param("weights", "# level leaf move\n2 1\n",
