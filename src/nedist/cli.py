@@ -153,11 +153,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--query-graph", required=True)
     p.add_argument("--query-node", required=True)
 
-    p = command(sub, "graphdist", _cmd_graphdist, depth, weights, seed,
+    p = command(sub, "graphdist", _cmd_graphdist, depth, weights,
                 help="graph-to-graph distance")
     p.add_argument("graph1")
     p.add_argument("graph2")
-    p.add_argument("--sample", type=int, default=None)
 
     p = command(sub, "oracle", _cmd_oracle, nmax, help="exhaustive ground-truth comparisons")
     p.add_argument("--depth-max", type=int, default=10**9)
@@ -235,8 +234,7 @@ def _cmd_knn(args):
 def _cmd_graphdist(args):
     g1 = load_graph(args.graph1, directed=args.directed)
     g2 = load_graph(args.graph2, directed=args.directed)
-    d = hausdorff_graph_distance(g1, g2, args.k, sample=args.sample, seed=args.seed,
-                                 cache=TreeDistanceCache(args.weights))
+    d = hausdorff_graph_distance(g1, g2, args.k, cache=TreeDistanceCache(args.weights))
     return [_number(d)]
 
 

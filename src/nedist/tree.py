@@ -281,7 +281,7 @@ def _ahu(t: LevelTree) -> str:
 
 def to_tree_literal(t: LevelTree) -> str:
     """Serialize in AHU-canonical order: isomorphic trees serialize identically."""
-    return _ahu(t)
+    return t.canonical_literal()
 
 
 def canonical_form(t: LevelTree) -> tuple[str, tuple[tuple[int, ...], ...]]:

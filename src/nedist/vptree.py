@@ -9,17 +9,17 @@ bound reads anyway, so no AHU pass is made; deeper, its AHU literal.  A query
 computes a lower bound LB for every group and yields the entries nearest
 first (``VpIndex.walk``), refining a group only once its LB is at most the
 next distance to yield, so results and their tie order equal
-``linear_scan``'s.  Pruning relies only on
-LB <= distance, so a query is exact for the shipped distance whether or not
-it is a metric.  TED* can break the triangle inequality at depth 4 or more,
-and a vantage-point tree, which prunes by it, then misses neighbors: on
-criterion 1's pool (``random.Random(11)``) under ``W_PLUS`` it answered
-``knn(pool[23], 3)`` with ``[(23, 0), (44, 13), (58, 13)]``, where a linear
-scan, and this index, give ``[(23, 0), (35, 13), (44, 13)]``.
-A query whose signature is directed where the index's is undirected, or
-the reverse, is a UsageError.  The graph-to-graph Hausdorff distance
-(``hausdorff_graph_distance``) takes each node's distance to the other
-graph from the first step of a walk over that graph's distinct signatures.
+``linear_scan``'s.  Pruning relies only on LB <= distance, so a query is
+exact for the shipped distance whether or not it is a metric.  TED* can
+break the triangle inequality at depth 4 or more, and a vantage-point tree,
+which prunes by it, then misses neighbors: on criterion 1's pool
+(``random.Random(11)``) under ``W_PLUS`` it answered ``knn(pool[23], 3)``
+with ``[(23, 0), (44, 13), (58, 13)]``, where a linear scan, and this
+index, give ``[(23, 0), (35, 13), (44, 13)]``.  A query whose signature is
+directed where the index's is undirected, or the reverse, is a UsageError.
+The graph-to-graph Hausdorff distance (``hausdorff_graph_distance``) reads
+the same bound without an index: a signature scans the other graph's in
+bound order only while it can still raise the largest nearest distance.
 
 The bound (``SignatureBound``) reads each level's size n_i and child counts.
 With A_i(t) the number of level-i nodes with at least t children,
@@ -46,7 +46,6 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
-import random
 from collections import Counter
 from itertools import chain, islice, repeat
 
@@ -167,11 +166,11 @@ class VpIndex:
 
     ``items`` are the entries and ``distance`` a function of a query and an
     entry.  ``groups`` partitions the entry indices into ascending lists
-    whose entries are at one distance from every query (one group per entry
-    when None).  ``bound`` maps a query to one lower bound per group on
-    ``bound.unit`` times that distance, exactly comparable with it.  Where
-    ``bound.is_distance(query)`` holds, the bounds are ``unit`` times the
-    distances, and the query refines nothing.
+    whose entries are at one distance from every query.  ``bound`` maps a
+    query to one lower bound per group on ``bound.unit`` times that
+    distance, exactly comparable with it.  Where ``bound.is_distance(query)``
+    holds, the bounds are ``unit`` times the distances, and the query
+    refines nothing.
     """
 
     def __init__(self, items, distance, groups, bound, labels=None):
@@ -180,8 +179,7 @@ class VpIndex:
         self.items = list(items)
         self.labels = labels if labels is not None else list(range(len(items)))
         self._distance = distance
-        self.groups = ([[i] for i in range(len(self.items))] if groups is None
-                       else [list(m) for m in groups])
+        self.groups = [list(m) for m in groups]
         if (sorted(i for m in self.groups for i in m) != list(range(len(self.items)))
                 or any(m != sorted(m) for m in self.groups)):
             raise UsageError("groups must split the entry indices into ascending lists")
@@ -297,35 +295,39 @@ def build_index(g: Graph, k: int, seed: int = 0,
 
 
 def hausdorff_graph_distance(a: Graph, b: Graph, k: int,
-                             sample: int | None = None, seed: int = 0,
                              cache: TreeDistanceCache | None = None):
     """Symmetric Hausdorff distance between the node sets of two graphs,
     under the weight scheme of ``cache`` (a new unit cache when None); a
     directed graph and an undirected one are a UsageError.
 
-    Exact over all nodes by default; ``sample`` caps the node count per side
-    with a seeded deterministic subset (an approximation, flagged to callers
-    by their own choice of the parameter).  A node's distance to the other
-    side is the first of a walk over that side's distinct signatures
-    (``VpIndex.walk``), which refines only those that can reach it, and at
-    k <= 3 under integer weights reads each distance from its bound.
+    Exact, with the early break of Taha & Hanbury 2015.  ``top``, the
+    largest nearest distance so far, passes from one direction into the
+    other.  Each distinct source signature scans the other side's in bound
+    order, and stops at a distance <= ``top``, which cannot raise it, or at
+    a bound no smaller than its nearest distance so far, then exact.  Where
+    the bound is the distance, the smallest is the nearest; nothing is refined.
     """
     if a.n == 0 or b.n == 0:
         raise UsageError("Hausdorff distance is undefined for an empty graph")
-    if sample is not None:
-        check_count(sample, "sample")
     cache = cache or TreeDistanceCache()
     dist = signature_distance(cache.distance)
 
-    def signatures(g: Graph, salt: int):
-        nodes = range(g.n)
-        if sample is not None and sample < g.n:
-            nodes = random.Random(seed * 2 + salt).sample(list(nodes), sample)
-        return [s for s, _ in _signature_groups([signature(g, v, k) for v in nodes])]
+    def directed_distance(sources, targets, top):
+        bound = SignatureBound(targets, cache.weights, k)
+        for s in sources:
+            lbs = bound(s)
+            if bound.is_distance(s):
+                top = max(top, int(lbs.min()) // bound.unit)
+                continue
+            lbs = lbs.tolist()   # Python ints, as ``walk`` reads them
+            nearest = math.inf
+            for j in sorted(range(len(lbs)), key=lbs.__getitem__):
+                if nearest <= top or lbs[j] >= bound.unit * nearest:
+                    break
+                nearest = min(nearest, dist(s, targets[j]))
+            top = max(top, nearest)
+        return top
 
-    def directed_distance(sigs_from, sigs_to):
-        index = VpIndex(sigs_to, dist, None, SignatureBound(sigs_to, cache.weights, k))
-        return max(next(index.walk(s))[0] for s in sigs_from)
-
-    sig_a, sig_b = signatures(a, 0), signatures(b, 1)
-    return max(directed_distance(sig_a, sig_b), directed_distance(sig_b, sig_a))
+    sig_a, sig_b = ([s for s, _ in _signature_groups([signature(g, v, k) for v in range(g.n)])]
+                    for g in (a, b))
+    return directed_distance(sig_b, sig_a, directed_distance(sig_a, sig_b, 0))

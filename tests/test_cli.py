@@ -99,6 +99,7 @@ def test_graphdist(graph_file, capsys):
     assert run(["graphdist", graph_file, graph_file, "--k", "3"]) == 0
     assert capsys.readouterr().out == "0\n"
     assert run(["graphdist", graph_file, graph_file, "--k", "3", "--sample", "0"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_oracle_compare_csv(capsys):

@@ -16,7 +16,7 @@ from nedist.ned import (
 )
 from nedist.ted import UNIT, W_PLUS, WeightScheme, ted_star, ted_star_distance_only
 from nedist.tree import parse_tree_literal as P
-from nedist.vptree import _signature_groups, hausdorff_graph_distance
+from nedist.vptree import SignatureBound, VpIndex, _signature_groups, hausdorff_graph_distance
 
 PATH5 = "a b\nb c\nc d\nd e\n"
 
@@ -136,17 +136,6 @@ def test_hausdorff_rejects_an_empty_graph():
             hausdorff_graph_distance(a, b, 2)
 
 
-def test_hausdorff_sampling_deterministic():
-    g1 = parse_edge_list(PATH5)
-    g2 = parse_edge_list(star(5, ""))
-    runs = {hausdorff_graph_distance(g1, g2, 2, sample=3, seed=42)
-            for _ in range(4)}
-    assert len(runs) == 1
-    for bad in (0, -1, 2.5):
-        with pytest.raises(UsageError):
-            hausdorff_graph_distance(g1, g2, 2, sample=bad)
-
-
 def test_hausdorff_takes_its_scheme_from_the_cache():
     # x and p are 1 apart under unit weights and 2 apart under W_PLUS
     g1 = parse_edge_list("x y\nx z\ny y1\ny y2\n")
@@ -172,16 +161,11 @@ HAUSDORFF_SCHEMES = [
 ]
 
 
-def brute_force_hausdorff(a, b, k, sample, seed, cache):
-    """max-min over every pair of (sampled) nodes, one distance per pair."""
-    def nodes(g, salt):
-        if sample is not None and sample < g.n:
-            return random.Random(seed * 2 + salt).sample(list(range(g.n)), sample)
-        return range(g.n)
-
+def brute_force_hausdorff(a, b, k, cache):
+    """max-min over every pair of nodes, one distance per pair."""
     dist = signature_distance(cache.distance)
-    sig_a = [signature(a, u, k) for u in nodes(a, 0)]
-    sig_b = [signature(b, v, k) for v in nodes(b, 1)]
+    sig_a = [signature(a, u, k) for u in range(a.n)]
+    sig_b = [signature(b, v, k) for v in range(b.n)]
     rows = [[dist(x, y) for y in sig_b] for x in sig_a]
     return max(max(min(row) for row in rows),
                max(min(row[j] for row in rows) for j in range(len(sig_b))))
@@ -193,12 +177,10 @@ def test_hausdorff_equals_a_brute_force_max_min(directed, scheme):
     a = random_graph(30, 50, seed=31, directed=directed)
     b = random_graph(34, 60, seed=32, directed=directed)
     reference = TreeDistanceCache(scheme)
-    for k in (2, 3, 4):
-        for sample, seed in ((None, 0), (12, 5)):
-            got = hausdorff_graph_distance(a, b, k, sample=sample, seed=seed,
-                                           cache=TreeDistanceCache(scheme))
-            want = brute_force_hausdorff(a, b, k, sample, seed, reference)
-            assert repr(got) == repr(want), (k, sample)
+    for k in (2, 3, 4, 5):
+        got = hausdorff_graph_distance(a, b, k, cache=TreeDistanceCache(scheme))
+        want = brute_force_hausdorff(a, b, k, reference)
+        assert repr(got) == repr(want), k
 
 
 @pytest.mark.parametrize("scheme", HAUSDORFF_SCHEMES, ids=lambda s: s.name)
@@ -214,16 +196,37 @@ def test_signature_distance_keeps_a_tree_distance_and_its_type(scheme):
                 assert repr(signature_distance(f)(t1, t2)) == repr(f(t1, t2))
 
 
+def distinct_signatures(g, k):
+    return [s for s, _ in _signature_groups([signature(g, v, k) for v in range(g.n)])]
+
+
+def nearest_per_source_hausdorff(a, b, k, cache):
+    """The max-min with every source's nearest distance found: the first
+    step of a walk over the other side's distinct signatures."""
+    dist = signature_distance(cache.distance)
+
+    def directed(sources, targets):
+        index = VpIndex(targets, dist, [[i] for i in range(len(targets))],
+                        SignatureBound(targets, cache.weights, k))
+        return max(next(index.walk(s))[0] for s in sources)
+
+    sig_a, sig_b = distinct_signatures(a, k), distinct_signatures(b, k)
+    return max(directed(sig_a, sig_b), directed(sig_b, sig_a))
+
+
 def test_hausdorff_refines_fewer_pairs_than_all():
     a = random_graph(30, 50, seed=31)
     b = random_graph(34, 60, seed=32)
-    cache = TreeDistanceCache(W_PLUS)
-    hausdorff_graph_distance(a, b, 4, cache=cache)
-    pairs = 1
-    for g in (a, b):
-        pairs *= len(_signature_groups([signature(g, v, 4) for v in range(g.n)]))
-    # the full matrix asks for every pair
-    assert 0 < cache.computations <= cache.evaluations < pairs
+    for k in (4, 5):
+        cache = TreeDistanceCache(W_PLUS)
+        got = hausdorff_graph_distance(a, b, k, cache=cache)
+        pairs = len(distinct_signatures(a, k)) * len(distinct_signatures(b, k))
+        # the full matrix asks for every pair
+        assert 0 < cache.computations <= cache.evaluations < pairs
+        # the early break skips most of what finding every nearest distance takes
+        walked = TreeDistanceCache(W_PLUS)
+        assert repr(nearest_per_source_hausdorff(a, b, k, walked)) == repr(got)
+        assert cache.computations < walked.computations
     # at depth <= 3 every distance is read from the bound
     cache = TreeDistanceCache(W_PLUS)
     hausdorff_graph_distance(a, b, 3, cache=cache)

@@ -50,11 +50,16 @@ class HalfGap:
         return False
 
 
+def singletons(items):
+    """One group per entry."""
+    return [[i] for i in range(len(items))]
+
+
 def int_index(items, groups=None):
     """An index over ints under |a - b|, bounded by half the gap to each
-    group's value."""
-    firsts = [m[0] for m in groups] if groups is not None else range(len(items))
-    return VpIndex(items, int_metric, groups, HalfGap([items[i] for i in firsts]))
+    group's value (one group per item when None)."""
+    groups = singletons(items) if groups is None else groups
+    return VpIndex(items, int_metric, groups, HalfGap([items[m[0]] for m in groups]))
 
 
 def make_index(n, seed=0):
@@ -144,7 +149,7 @@ def test_query_argument_validation():
         with pytest.raises(UsageError):
             index.range_query(0, bad)
     with pytest.raises(UsageError):
-        VpIndex([], int_metric, None, HalfGap([]))
+        VpIndex([], int_metric, [], HalfGap([]))
     for groups in ([[0]], [[1, 0]], [[0, 1], [1]], [[0, 1, 2]]):
         with pytest.raises(UsageError):
             VpIndex([3, 3], int_metric, groups, HalfGap([3]))
@@ -278,7 +283,7 @@ def test_pool_repro_where_the_triangle_inequality_fails():
     pool = [random_tree(rng.randint(2, 60), rng.randint(2, 6),
                         seed=rng.randrange(1 << 30)) for _ in range(60)]
     cache = TreeDistanceCache(W_PLUS)
-    index = VpIndex(pool, cache.distance, None, SignatureBound(pool, W_PLUS, 6))
+    index = VpIndex(pool, cache.distance, singletons(pool), SignatureBound(pool, W_PLUS, 6))
     assert index.knn(pool[23], 3)[0] == [(23, 0), (35, 13), (44, 13)]
     for q in (23, 0, 35, 44, 58):
         for l in (1, 3, 8):
@@ -307,7 +312,7 @@ def test_a_float_radius_is_read_as_its_decimal_as_a_weight_is():
     # read as the binary float below 3/10 would drop
     scheme = WeightScheme(move={2: 0.3})
     pool = [P("((()())())"), P("((())(()))"), P("(()()())")]
-    index = VpIndex(pool, TreeDistanceCache(scheme).distance, None,
+    index = VpIndex(pool, TreeDistanceCache(scheme).distance, singletons(pool),
                     SignatureBound(pool, scheme, 3))
     near = [(0, 0), (1, Fraction(3, 10))]
     for r in (0.3, np.float64(0.3), np.float32(0.3), Fraction(3, 10)):
