@@ -72,13 +72,13 @@ class LevelTree:
     def class_key(self) -> tuple | str:
         """A key equal for two trees iff they are isomorphic.  At depth <= 3
         it is the level sizes and the sorted level-2 child counts, which fix
-        the tree, read from ``child_counts`` with no AHU pass; deeper it is
-        the AHU literal.  A tuple never equals a str, so the kinds never mix."""
+        the tree, read from ``child_counts`` with no AHU pass; at depth <= 2
+        the sizes alone fix it, and the counts are ``()``.  Deeper it is the
+        AHU literal.  A tuple never equals a str, so the kinds never mix."""
         if self.depth > 3:
             return self.canonical_literal()
         counts = self.child_counts()
-        level2 = counts[1] if len(counts) > 1 else ()
-        return tuple(map(len, counts)), tuple(sorted(level2))
+        return tuple(map(len, counts)), (tuple(sorted(counts[1])) if self.depth == 3 else ())
 
     def canonical_literal(self) -> str:
         """AHU canonical form: equal strings iff the trees are isomorphic."""

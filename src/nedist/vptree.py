@@ -2,10 +2,14 @@
 lower bound on TED*.
 
 Nodes with isomorphic signatures are at one distance from any query, so the
-index groups them, each group's members in ascending node index.  A tree's
-group key is ``LevelTree.class_key``: at depth <= 3 its level sizes and
-sorted level-2 child counts, which fix its isomorphism class and which the
-bound reads anyway, so no AHU pass is made; deeper, its AHU literal.  A query
+index groups them, each group's members in ascending node index
+(``_node_groups``).  At k <= 2 a tree is a star, so a node's degree (its
+(in-degree, out-degree) pair when directed) is its group key, and only each
+group's first member has its signature extracted; an entry's own signature
+is extracted when first read.  Deeper, a tree's group key is
+``LevelTree.class_key``: at depth <= 3 its level sizes and sorted level-2
+child counts, which fix its isomorphism class and which the bound reads
+anyway, so no AHU pass is made; deeper still, its AHU literal.  A query
 computes a lower bound LB for every group and yields the entries nearest
 first (``VpIndex.walk``), refining a group only once its LB is at most the
 next distance to yield, so results and their tie order equal
@@ -47,6 +51,7 @@ import heapq
 import math
 import numbers
 from collections import Counter
+from collections.abc import Sequence
 from itertools import chain, islice, repeat
 
 import numpy as np
@@ -164,19 +169,21 @@ class SignatureBound:
 class VpIndex:
     """Exact kNN and range queries over a fixed entry list.
 
-    ``items`` are the entries and ``distance`` a function of a query and an
-    entry.  ``groups`` partitions the entry indices into ascending lists
-    whose entries are at one distance from every query.  ``bound`` maps a
-    query to one lower bound per group on ``bound.unit`` times that
-    distance, exactly comparable with it.  Where ``bound.is_distance(query)``
-    holds, the bounds are ``unit`` times the distances, and the query
-    refines nothing.
+    ``items`` is the sequence of entries, kept as given: ``build_index``
+    passes one that extracts an entry's signature when it is first read.
+    ``distance`` is a function of a query and an entry.  ``groups``
+    partitions the entry indices into ascending lists whose entries are at
+    one distance from every query.  ``bound`` maps a query to one lower
+    bound per group on ``bound.unit`` times that distance, exactly
+    comparable with it.  Where ``bound.is_distance(query)`` holds, the
+    bounds are ``unit`` times the distances, and the query refines nothing.
+    A query reads only each group's first entry (``_refine``).
     """
 
     def __init__(self, items, distance, groups, bound, labels=None):
         if not items:
             raise UsageError("cannot build an index over zero entries")
-        self.items = list(items)
+        self.items = items if isinstance(items, Sequence) else list(items)
         self.labels = labels if labels is not None else list(range(len(items)))
         self._distance = distance
         self.groups = [list(m) for m in groups]
@@ -274,21 +281,67 @@ def _signature_groups(sigs):
     return list(groups.values())
 
 
+def _node_groups(g: Graph, k: int):
+    """``_signature_groups`` over the depth-k signatures of ``g``'s nodes.
+
+    At k <= 2 a tree is the root and its neighbors, a star fixed by the
+    root's degree, so nodes are grouped by degree, or by (in-degree,
+    out-degree) when directed, and only each group's first member has its
+    signature extracted.  Deeper, which parent a node takes depends on the
+    BFS, so every node's signature is extracted and keyed.
+    """
+    check_count(k, "k")
+    if k > 2:
+        return _signature_groups([signature(g, v, k) for v in range(g.n)])
+    if k == 1:
+        keys = repeat(0, g.n)
+    elif g.directed:
+        keys = zip(map(len, g.radj), map(len, g.adj))
+    else:
+        keys = map(len, g.adj)
+    groups: dict = {}
+    for v, key in enumerate(keys):
+        members = groups.get(key)
+        if members is None:
+            groups[key] = [v]
+        else:
+            members.append(v)
+    return [(signature(g, m[0], k), m) for m in groups.values()]
+
+
+class _Signatures(Sequence):
+    """The depth-k signatures of ``g``'s nodes, in node order, each
+    extracted when first read and then memoized by ``tree_for``."""
+
+    def __init__(self, g: Graph, k: int):
+        self._g, self._k = g, k
+
+    def __len__(self):
+        return self._g.n
+
+    def __getitem__(self, v):
+        # a range raises IndexError past the end, which iteration stops at
+        return signature(self._g, range(self._g.n)[v], self._k)
+
+
 def build_index(g: Graph, k: int, seed: int = 0,
                 cache: TreeDistanceCache | None = None) -> VpIndex:
     """Index every node of ``g`` by its depth-k neighborhood signature, under
     the weight scheme of ``cache`` (a new unit cache when None).
 
-    Directed graphs are indexed under the directed node distance (sum of the
-    incoming-tree and outgoing-tree distances).  ``seed`` is accepted for
-    callers of the former VP-tree; results no longer depend on it.
+    Nodes are grouped by signature class (``_node_groups``: at k <= 2 by
+    degree), and only each group's representative signature is extracted
+    while building; an entry's own signature is extracted when the index
+    first reads it (``VpIndex.items``).  Directed graphs are indexed under
+    the directed node distance (sum of the incoming-tree and outgoing-tree
+    distances).  ``seed`` is accepted for callers of the former VP-tree;
+    results no longer depend on it.
     """
     if g.n == 0:
         raise UsageError("cannot index an empty graph")
     cache = cache or TreeDistanceCache()
-    sigs = [signature(g, v, k) for v in range(g.n)]
-    groups = _signature_groups(sigs)
-    return VpIndex(sigs, signature_distance(cache.distance),
+    groups = _node_groups(g, k)
+    return VpIndex(_Signatures(g, k), signature_distance(cache.distance),
                    [members for _, members in groups],
                    SignatureBound([s for s, _ in groups], cache.weights, k),
                    labels=g.labels)
@@ -328,6 +381,5 @@ def hausdorff_graph_distance(a: Graph, b: Graph, k: int,
             top = max(top, nearest)
         return top
 
-    sig_a, sig_b = ([s for s, _ in _signature_groups([signature(g, v, k) for v in range(g.n)])]
-                    for g in (a, b))
+    sig_a, sig_b = ([s for s, _ in _node_groups(g, k)] for g in (a, b))
     return directed_distance(sig_b, sig_a, directed_distance(sig_a, sig_b, 0))

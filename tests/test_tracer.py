@@ -4,7 +4,9 @@
 look them up by, so renaming one of them breaks traced benchmark runs.  These
 tests install and remove the hooks without running the benchmark, and check
 that a traced distance deep enough to be matched counts its matrices and
-that building an index is traced as one extraction per tree.
+that building an index is traced as one extraction per tree it reads: one
+per group at k <= 2, where a node's degree is its group key, and one per
+node deeper.
 """
 
 import importlib.util
@@ -57,11 +59,15 @@ def test_traced_depth_four_distance_counts_its_matrices():
 @pytest.mark.parametrize("directed", [False, True])
 def test_traced_index_build_counts_one_extraction_per_tree(directed):
     g = random_graph(30, 45, seed=3, directed=directed)
-    for k in (2, 3):   # k = 2 writes each tree from the root's adjacency list
+    sides = 2 if directed else 1   # an in-tree and an out-tree per signature
+    for k in (2, 3):
         tracer = load_tracer().Tracer().install()
         try:
-            build_index(g, k)
+            index = build_index(g, k)
         finally:
             tracer.uninstall()
-        # one tree per node, or an in-tree and an out-tree per node
-        assert tracer.calls("tree.extract") == g.n * (2 if directed else 1)
+        # k = 2 groups nodes by degree and extracts each group's first
+        # member's signature; k = 3 extracts every node's to key it
+        trees = len(index.groups) if k == 2 else g.n
+        assert 1 < len(index.groups) < g.n
+        assert tracer.calls("tree.extract") == trees * sides

@@ -7,7 +7,7 @@ import pytest
 
 from nedist.errors import UsageError
 from nedist.experiments import random_graph, random_tree
-from nedist.graph import parse_edge_list, to_edge_list
+from nedist.graph import build_graph, parse_edge_list, to_edge_list
 from nedist.ned import (
     TreeDistanceCache,
     ned,
@@ -19,7 +19,14 @@ from nedist.ned import (
 from nedist.oracle import enumerate_trees
 from nedist.ted import UNIT, W_PLUS, WeightScheme, ted_star_distance_only
 from nedist.tree import parse_tree_literal as P
-from nedist.vptree import SignatureBound, VpIndex, _signature_groups, build_index
+from nedist.vptree import (
+    SignatureBound,
+    VpIndex,
+    _node_groups,
+    _signature_groups,
+    build_index,
+    hausdorff_graph_distance,
+)
 from schemes import criterion_1_random_scheme
 
 FRACTION_SCHEME = WeightScheme(leaf=lambda L: Fraction(L, 3),
@@ -181,8 +188,8 @@ def test_a_bool_is_not_a_count():
             build_index(g, bad)
         with pytest.raises(UsageError, match="l must be an integer >= 1"):
             index.knn(tree_for(g, 0, 2), bad)
-    assert g._tree_cache.keys() == {(0, 2, "undirected"), (1, 2, "undirected"),
-                                    (2, 2, "undirected")}
+    # a and c share degree 1: the index extracts only the first one's tree
+    assert g._tree_cache.keys() == {(0, 2, "undirected"), (1, 2, "undirected")}
 
 
 def test_build_index_rejects_an_empty_graph():
@@ -458,6 +465,50 @@ def literal_partition(g, k):
         key = tuple(t.canonical_literal() for t in signature_trees(signature(g, v, k)))
         parts.setdefault(key, []).append(v)
     return sorted(parts.values())
+
+
+def with_isolated_nodes(g):
+    """``g`` with an isolated node before its first node and after its last."""
+    labels = ["iso0", *g.labels, "iso1"]
+    return build_graph(labels, [(i + 1, j + 1) for i, j in g.edges()], g.directed)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_shallow_node_groups_equal_the_extracted_signature_groups(directed):
+    # at k <= 2 nodes are grouped by degree, with no tree extracted but each
+    # group's first: the same groups, members and representatives as keying
+    # every node's extracted signature
+    for seed in (1, 2, 3):
+        edges = to_edge_list(random_graph(40, 60, seed=seed, directed=directed))
+        for k in (1, 2):
+            g = with_isolated_nodes(parse_edge_list(edges, directed=directed))
+            got = _node_groups(g, k)
+            assert len(g._tree_cache) == len(got) * (2 if directed else 1)
+            want = _signature_groups([signature(g, v, k) for v in range(g.n)])
+            assert [members for _, members in got] == [members for _, members in want]
+            assert [rep for rep, _ in got] == [rep for rep, _ in want]
+            if k == 2:
+                assert [0, g.n - 1] in [members for _, members in got]
+            nodes = [0, g.n - 1, *range(1, g.n, 7)]
+            for scheme in (UNIT, FRACTION_SCHEME):   # the bound, then refining
+                assert_index_is_exact(g, k, scheme, nodes, (0, 1, 2.5))
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_shallow_hausdorff_values_are_pinned(directed):
+    # each (UNIT, W_PLUS, FRACTION_SCHEME) value per seed, as keying every
+    # node's extracted signature gave them
+    want = {
+        False: {1: (0, 0, 0), 2: (1, 1, Fraction(2, 3)), 3: (3, 3, Fraction(2))},
+        True: {1: (2, 2, Fraction(4, 3)), 2: (3, 3, Fraction(2)), 3: (3, 3, Fraction(2))},
+    }[directed]
+    for seed, values in want.items():
+        a = with_isolated_nodes(random_graph(40, 60, seed=seed, directed=directed))
+        b = random_graph(36, 70, seed=seed + 10, directed=directed)
+        for k, pinned in ((1, (0, 0, 0)), (2, values)):
+            got = tuple(hausdorff_graph_distance(a, b, k, cache=TreeDistanceCache(scheme))
+                        for scheme in (UNIT, W_PLUS, FRACTION_SCHEME))
+            assert repr(got) == repr(pinned), (seed, k)
 
 
 @pytest.mark.parametrize("directed", [False, True])
