@@ -30,7 +30,7 @@ from .oracle import (
     exact_ted_star,
     exact_unordered_ted,
 )
-from .ted import UNIT, W_PLUS, WeightScheme, ted_star
+from .ted import UNIT, W_PLUS, WeightScheme, as_distance, ted_star
 from .tree import parse_tree_literal, to_tree_literal
 from .vptree import build_index, hausdorff_graph_distance
 
@@ -67,11 +67,7 @@ def _weights_arg(spec: str) -> WeightScheme:
 
 
 def _number(x) -> str:
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x} ({float(x):g})"
-    return str(x)
+    return f"{x} ({float(x):g})" if isinstance(x, Fraction) else str(x)
 
 
 def _emit(out, lines):
@@ -210,7 +206,7 @@ def _cmd_ned(args):
     results = [ted_star(a, b, args.weights) for a, b in zip(
         signature_trees(signature(g1, args.node1, args.k)),
         signature_trees(signature(g2, args.node2, args.k)))]
-    total = sum(d for d, _ in results)
+    total = as_distance(sum(d for d, _ in results))
     if not args.breakdown:
         return [_number(total)]
     lines = []

@@ -36,7 +36,7 @@ class InvariantError(NedistError):
 
 
 def check_count(value, what: str):
-    """``value`` if it is an integer >= 1 (an int, or another integral number
+    """``value`` if it is an integer >= 1 (an int, or another integer type
     such as a numpy integer), else UsageError; a ``bool`` is not a count."""
     if type(value) is int and value >= 1:   # the common case skips the ABC check
         return value

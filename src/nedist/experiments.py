@@ -98,8 +98,8 @@ class AnonymizationSpec:
     def __post_init__(self):
         if self.method not in ANON_METHODS:
             raise UsageError(f"unknown anonymization method {self.method!r}")
-        if not 0 <= self.p <= 1:
-            raise UsageError(f"ratio p must lie in [0,1], got {self.p}")
+        if not (isinstance(self.p, numbers.Real) and 0 <= self.p <= 1):
+            raise UsageError(f"ratio p must be a real number in [0,1], got {self.p!r}")
 
 
 def anonymize(g: Graph, spec: AnonymizationSpec):
@@ -224,10 +224,10 @@ def deanonymize(train: Graph, anon: Graph, truth: dict, k: int, l: int,
     None) and walks the exact signature index of ``train`` (``build_index``)
     nearest first, once per query, until it has the top l and has reached
     the true node, so only signatures whose lower bound can rank are refined,
-    each once.  At k <= 3 under integer weights the bound is the distance, so
-    a query reads every distance from it and refines nothing.  The index is
-    built once per training graph, k and given cache, and later calls with
-    the same three reuse it.
+    each once.  At k <= 3 the bound is the distance, so a query reads every
+    distance from it and refines nothing.  The index is built once per
+    training graph, k and given cache, and later calls with the same three
+    reuse it.
     """
     check_count(k, "k")
     check_count(l, "l")

@@ -39,7 +39,7 @@ class Graph:
 
     def resolve(self, node) -> int:
         """Map a node to its index.  A node is an external label (a str) or an
-        already-internal index (an int, or another integral number such as a
+        already-internal index (an int, or another integer type such as a
         numpy integer); anything else, a ``bool`` included, is a UsageError."""
         if type(node) is not int:   # an exact int, the common case, skips the checks
             if isinstance(node, str):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .errors import UsageError, check_count
 from .graph import Graph
-from .ted import UNIT, WeightScheme, check_scheme, ted_star_distance_only
+from .ted import UNIT, WeightScheme, as_distance, check_scheme, ted_star_distance_only
 from .tree import LevelTree, extract_k_adjacent_tree
 # unused here, but benchmarks/tracer.py hooks this name under nedist.ned
 from .tree import parse_tree_literal  # noqa: F401
@@ -48,10 +48,11 @@ def signature_trees(sig, sides: int | None = None) -> tuple:
 def signature_distance(tree_distance):
     """Distance between two node signatures, given a distance between trees:
     the sum over their trees (in-tree plus out-tree distance for directed
-    graphs); UsageError on a directed and an undirected signature."""
+    graphs), an ``int`` when whole; UsageError on a directed and an
+    undirected signature."""
     def distance(a, b):
         a = signature_trees(a)
-        return sum(map(tree_distance, a, signature_trees(b, len(a))))
+        return as_distance(sum(map(tree_distance, a, signature_trees(b, len(a)))))
 
     return distance
 

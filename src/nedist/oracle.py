@@ -12,6 +12,7 @@ import heapq
 from functools import lru_cache
 
 from .errors import UsageError, check_count
+from .ted import as_distance
 from .tree import LevelTree, parse_tree_literal, to_tree_literal, _literal_key
 
 
@@ -163,7 +164,7 @@ def exact_ted_star(t1: LevelTree, t2: LevelTree, budget=12, weights=None):
         if lit in done:
             continue
         if lit == target:
-            return d
+            return as_distance(d)
         done.add(lit)
         full = lit.count("(") >= node_cap
         for nxt, ops in _edit_neighbors(lit, depth_cap):

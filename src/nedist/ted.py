@@ -62,7 +62,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import InvariantError, UsageError
+from .errors import InvariantError, UsageError, check_count
 from .assignment import matching_with_duals
 from .tree import LevelTree, canonical_form
 
@@ -80,7 +80,8 @@ class WeightScheme:
     each time ``leaf_cost`` or ``move_cost`` reads one (UsageError otherwise).
 
     Weights are read exactly (``exact_number``): ``0.3`` is 3/10, as in a
-    weight file, and distances are an ``int`` or a ``Fraction``.  A long
+    weight file, and a distance is an ``int`` when it is whole and a
+    ``Fraction`` otherwise (``as_distance``), under every scheme.  A long
     decimal such as ``0.1 * 3 + 0.07`` (0.37000000000000005) scales the
     level matrices by 10 ** 17, so levels wider than 24 nodes leave scipy
     for the pure-Python matching: about 22 times slower on ``random_tree``
@@ -99,10 +100,19 @@ class WeightScheme:
 
     @classmethod
     def from_table(cls, rows, name: str = "file") -> "WeightScheme":
-        """Build from (level, leaf_weight, move_weight) triples; weights are
-        parsed exactly (Fractions), unlisted levels cost 1."""
-        rows = [(int(level), Fraction(w1), Fraction(w2)) for level, w1, w2 in rows]
-        return cls(leaf={L: w for L, w, _ in rows}, move={L: w for L, _, w in rows}, name=name)
+        """Build from (level, leaf_weight, move_weight) triples; unlisted
+        levels cost 1.  A level is an integer >= 1, and a weight is read as
+        the constructor reads it, a string such as ``"1/3"`` as a Fraction.
+        UsageError otherwise."""
+        leaf, move = {}, {}
+        for level, w1, w2 in rows:
+            level = int(check_count(level, "weight table level"))
+            try:
+                leaf[level], move[level] = [Fraction(w) if isinstance(w, str) else w
+                                            for w in (w1, w2)]
+            except (ValueError, ZeroDivisionError) as exc:
+                raise UsageError(f"bad weight for level {level}: {exc}") from exc
+        return cls(leaf=leaf, move=move, name=name)
 
 
 def _per_level(spec, what: str) -> Callable[[int], object]:
@@ -137,6 +147,12 @@ def exact_number(x):
     return Fraction(str(x)) if isinstance(x, numbers.Real) and math.isfinite(x) else None
 
 
+def as_distance(x):
+    """A distance value ``x`` in its one type: an ``int`` when it is whole
+    (a whole ``Fraction`` gives its numerator), else the ``Fraction``."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
 def check_scheme(weights) -> WeightScheme:
     """``weights`` if it is a WeightScheme, else UsageError."""
     if not isinstance(weights, WeightScheme):
@@ -163,7 +179,7 @@ class CostBreakdown:
                                # padding below plus twice the re-parented children
     matching: list[int]        # moves between two parents at this level
     reinserted: list[int]      # nodes of this level deleted and re-inserted
-    total: object              # weighted distance (int under unit weights)
+    total: object              # weighted distance (``as_distance``)
 
     @property
     def levels(self) -> int:
@@ -280,15 +296,14 @@ def _search_costs(leaf, move):
 
 def bound_weights(weights: WeightScheme, k: int):
     """The weights of TED*'s lower bound over levels 1..k (``nedist.vptree``):
-    (size, count, unit, integral), index 0 is level 1.
+    (size, count, unit), index 0 is level 1.
 
     ``unit`` times the bound is the sum over levels i of ``size[i]`` times
     the difference of the two level sizes, plus, for levels 1..k - 1,
     ``count[i]`` times the L1 distance of level i's child counts, each sorted
     and padded with zeros.  With c_i = min(move(i), 2 leaf(i + 1)) and c_0 = 0,
     ``size[i]`` is 2 leaf(i) - c_(i-1) and ``count[i]`` is c_i, both integers
-    on the scale of ``_search_costs``.  ``integral`` tells whether every
-    weight read is an ``int``, so that TED* over these levels is one too.
+    on the scale of ``_search_costs``.
     """
     check_scheme(weights)
     leaf_w = [weights.leaf_cost(level) for level in range(1, k + 1)]
@@ -296,7 +311,7 @@ def bound_weights(weights: WeightScheme, k: int):
     leaf, move, scale = _search_costs(leaf_w, move_w)
     count = [min(m, 2 * l) for m, l in zip(move, leaf[1:])]
     size = [2 * l - c for l, c in zip(leaf, [0] + count)]
-    return size, count, 2 * scale, all(type(w) is int for w in leaf_w + move_w)
+    return size, count, 2 * scale
 
 
 def _split_table(spans, labels, prices, partner_cols):
@@ -550,6 +565,7 @@ def _result(leaf, move, sizes, P, matching_raw, moves, reinserted):
             total += move[i] * moves[i]
         if reinserted[i]:
             total += 2 * leaf[i] * reinserted[i]
+    total = as_distance(total)
     return total, CostBreakdown(*sizes, P, matching_raw, moves, reinserted, total)
 
 

@@ -36,11 +36,11 @@ and a directed signature adds its in-tree and out-tree bounds.  The inner
 sum over t is the L1 distance D_i of the two levels' child counts, each
 sorted and padded with zeros.  At depth <= 3 LB is TED*'s closed form
 (``nedist.ted``), so where the query and every signature have depth
-<= k <= 3 and every weight is an ``int`` (TED* is then an ``int`` too), a
-query reads each distance from its bound and refines nothing.  At any depth
-LB <= TED*: each level's matching re-parents at least (D_i - P_(i+1)) / 2
-children, with P_(i+1) the padding one level down, and each costs at least
-c_i, a move or a delete and re-insert.  Every weight is read as an int or
+<= k <= 3, a query reads each distance from its bound, under every scheme,
+and refines nothing.  At any depth LB <= TED*: each level's matching
+re-parents at least (D_i - P_(i+1)) / 2 children, with P_(i+1) the padding
+one level down, and each costs at least c_i, a move or a delete and
+re-insert.  Every weight is read as an int or
 a Fraction (``WeightScheme``), so the bound is in exact scaled integers
 under every scheme.
 """
@@ -52,6 +52,7 @@ import math
 import numbers
 from collections import Counter
 from collections.abc import Sequence
+from fractions import Fraction
 from itertools import chain, islice, repeat
 
 import numpy as np
@@ -79,7 +80,8 @@ class SignatureBound:
     Calling it with a query returns one value per representative: ``unit``
     times its LB, an integer.  Levels deeper than k add nothing, so a query
     deeper than k gets a lower LB.  ``is_distance`` tells whether those
-    values are ``unit`` times TED* itself.
+    values are ``unit`` times TED* itself, and ``distance`` turns one into
+    that distance.
     """
 
     def __init__(self, reps, weights, k: int):
@@ -87,12 +89,10 @@ class SignatureBound:
             raise UsageError("cannot bound against zero signatures")
         sides = len(signature_trees(reps[0]))
         reps = [signature_trees(s, sides) for s in reps]
-        size, count, self.unit, integral = bound_weights(weights, check_count(k, "k"))
+        size, count, self.unit = bound_weights(weights, check_count(k, "k"))
         self.k = k
-        # LB is TED*'s closed form at depth <= 3, and under int weights TED*
-        # is an int, as LB // unit is
-        self._closed = (k <= 3 and integral
-                        and all(t.depth <= k for trees in reps for t in trees))
+        # LB is TED*'s closed form at depth <= 3
+        self._closed = k <= 3 and all(t.depth <= k for trees in reps for t in trees)
         # per tree of a signature, per level 1..k - 1, the widest child count,
         # and every representative's row (see _vector) in one array pass
         self._widths, self._rows = self._bulk_rows(reps, sides)
@@ -161,9 +161,15 @@ class SignatureBound:
         return np.abs(self._rows - np.array(q, dtype=np.int64)) @ w
 
     def is_distance(self, query) -> bool:
-        """Whether each value for ``query`` is ``unit`` times its TED*, of
-        the type TED* returns: k <= 3, int weights, and no tree deeper than k."""
+        """Whether each value for ``query`` is ``unit`` times its TED*: k <= 3
+        and no tree deeper than k."""
         return self._closed and all(t.depth <= self.k for t in signature_trees(query))
+
+    def distance(self, lb: int):
+        """The distance of a value ``lb`` that ``is_distance`` vouches for:
+        ``lb / unit``, an ``int`` when whole, as TED* returns it."""
+        q, r = divmod(lb, self.unit)
+        return q if r == 0 else Fraction(lb, self.unit)
 
 
 class VpIndex:
@@ -211,14 +217,14 @@ class VpIndex:
         order = np.argsort(lbs, kind="stable")
         lbs = lbs[order].tolist()
         order = order.tolist()
-        closed = self._bound.is_distance(query)
+        read = self._bound.distance if self._bound.is_distance(query) else None
         pending: list[tuple] = []   # taken, not yet yielded: a heap of (distance, group)
         j = 0
         while True:
             while (j < len(order) and lbs[j] <= limit
                    and not (pending and lbs[j] > unit * pending[0][0])):
                 self.eval_count += 1
-                d = lbs[j] // unit if closed else self._refine(query, order[j])
+                d = read(lbs[j]) if read else self._refine(query, order[j])
                 if d <= r:
                     heapq.heappush(pending, (d, order[j]))
                 j += 1
@@ -370,7 +376,7 @@ def hausdorff_graph_distance(a: Graph, b: Graph, k: int,
         for s in sources:
             lbs = bound(s)
             if bound.is_distance(s):
-                top = max(top, int(lbs.min()) // bound.unit)
+                top = max(top, bound.distance(int(lbs.min())))
                 continue
             lbs = lbs.tolist()   # Python ints, as ``walk`` reads them
             nearest = math.inf

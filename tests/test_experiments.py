@@ -25,6 +25,7 @@ from nedist.ned import TreeDistanceCache, signature, signature_distance, tree_fo
 from nedist.ted import UNIT, W_PLUS, WeightScheme
 from nedist.oracle import enumerate_trees
 from nedist.vptree import VpIndex
+from schemes import criterion_1_random_scheme
 
 REFERENCE_SCHEMES = {
     "unit": UNIT,
@@ -40,6 +41,22 @@ def test_spec_validation():
         AnonymizationSpec("shuffle")
     with pytest.raises(UsageError):
         AnonymizationSpec("perturb", p=1.5)
+    for p in ("0.5", 1j, None):   # not a real number: refused, not a TypeError
+        with pytest.raises(UsageError, match="real number"):
+            AnonymizationSpec("perturb", p=p)
+
+
+def test_deanonymize_reads_fraction_scheme_distances_from_the_bound():
+    # at k = 3 the bound is TED* under every scheme, and a whole distance is
+    # an int whichever route gave it
+    g = random_graph(150, 300, seed=8)
+    anon, truth = anonymize(g, AnonymizationSpec("perturb", p=0.05, seed=8))
+    cache = TreeDistanceCache(criterion_1_random_scheme())
+    report = deanonymize(g, anon, truth, k=3, l=5, sample_size=30, seed=8, cache=cache)
+    distances = [d for row in report.rows for d in row.top_distances]
+    assert cache.computations == 0
+    assert not any(type(d) is Fraction and d.denominator == 1 for d in distances)
+    assert any(type(d) is int and d > 0 for d in distances)
 
 
 def test_random_tree_shape():

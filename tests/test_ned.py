@@ -66,6 +66,14 @@ def test_directed_distance_sums_both_trees():
     assert ned_directed(g1, "u", g2, "x", 2) == 3
 
 
+def test_directed_halves_sum_to_an_int():
+    # a's in-tree () and out-tree (()) against b's (()) and (): one level-2
+    # leaf each way, 1/2 apiece, and the whole sum is the int 1
+    g = parse_edge_list("a b\n", directed=True)
+    w = WeightScheme(leaf={2: Fraction(1, 2)})
+    assert repr(ned_directed(g, "a", g, "b", 2, w)) == "1"
+
+
 def test_ned_directed_rejects_undirected():
     g = parse_edge_list("a b\n")
     with pytest.raises(UsageError):
@@ -184,9 +192,21 @@ def test_hausdorff_equals_a_brute_force_max_min(directed, scheme):
 
 
 @pytest.mark.parametrize("scheme", HAUSDORFF_SCHEMES, ids=lambda s: s.name)
+@pytest.mark.parametrize("directed", [False, True])
+def test_shallow_hausdorff_computes_no_ted_star(directed, scheme):
+    # at k <= 3 the bound is the distance under every scheme
+    a = random_graph(30, 50, seed=31, directed=directed)
+    b = random_graph(34, 60, seed=32, directed=directed)
+    for k in (1, 2, 3):
+        cache = TreeDistanceCache(scheme)
+        hausdorff_graph_distance(a, b, k, cache=cache)
+        assert cache.evaluations == 0, k
+
+
+@pytest.mark.parametrize("scheme", HAUSDORFF_SCHEMES, ids=lambda s: s.name)
 def test_signature_distance_keeps_a_tree_distance_and_its_type(scheme):
     # undirected signatures sum one tree distance, 0 + d: under the Fraction
-    # scheme identical trees are at int 0 and the others at Fractions
+    # scheme whole distances are ints and the others Fractions
     trees = [P(s) for s in ("()", "(())", "(()())", "((())())", "(((()))())", "((((()))))")]
     trees += [random_tree(30, 5, seed=seed) for seed in range(4)]
     for f in (lambda a, b: ted_star_distance_only(a, b, scheme),

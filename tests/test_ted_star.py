@@ -218,6 +218,25 @@ def test_weight_scheme_from_table():
     assert w.leaf_cost(9) == 1   # unlisted levels default to unit
 
 
+def test_weight_table_levels_are_counts():
+    # a level is read as check_count reads it: not truncated, not a bool
+    for level in (1.5, True, 0, "2"):
+        with pytest.raises(UsageError, match="level"):
+            WeightScheme.from_table([(level, 1, 1)])
+    assert WeightScheme.from_table([(np.int64(2), 3, 1)]).leaf_cost(2) == 3
+
+
+def test_weight_table_weights_are_read_or_refused():
+    w = WeightScheme.from_table([(1, "1/3", 0.3), (2, Fraction(5, 2), "2")])
+    assert (w.leaf_cost(1), w.move_cost(1)) == (Fraction(1, 3), Fraction(3, 10))
+    assert (w.leaf_cost(2), w.move_cost(2)) == (Fraction(5, 2), 2)
+    for bad in ("x", "1/0", None, 1j, object()):
+        with pytest.raises(UsageError):
+            WeightScheme.from_table([(2, bad, 1)])
+        with pytest.raises(UsageError):
+            WeightScheme.from_table([(2, 1, bad)])
+
+
 def test_weight_scheme_rejects_nonpositive():
     with pytest.raises(UsageError):
         WeightScheme(leaf={1: 0})
@@ -389,6 +408,15 @@ def test_weighted_result_exact_rational():
     assert total == Fraction(1, 3)
 
 
+def checked_repr(result) -> str:
+    """repr of a ``ted_star`` result whose total is in its one type: an int
+    when whole, else a Fraction, and the breakdown's total the same."""
+    total, br = result
+    assert type(total) is type(br.total) and total == br.total
+    assert type(total) is int or (type(total) is Fraction and total.denominator != 1)
+    return repr(result)
+
+
 def test_pinned_values_beyond_oracle_horizon():
     # every (distance, breakdown) on trees far past the exhaustive oracle's
     # 8 nodes, pinned by digest: a refactor of the level search must leave
@@ -401,9 +429,9 @@ def test_pinned_values_beyond_oracle_horizon():
     digest = hashlib.sha256()
     for w in (UNIT, W_PLUS, criterion_1_random_scheme()):
         for a, b in pairs:
-            digest.update(repr(ted_star(a, b, w)).encode())
+            digest.update(checked_repr(ted_star(a, b, w)).encode())
     assert digest.hexdigest() == \
-        "2c57e90090e389ebb7aa35c4cc2ae07c9a7e2eaf7814164192057977214e93d7"
+        "7b78fdfa3f3bdff9423d33d91cd3d355ae62becde07dbf9c85fde371f050477c"
 
 
 def test_pinned_float_weights_beyond_oracle_horizon():
@@ -418,7 +446,7 @@ def test_pinned_float_weights_beyond_oracle_horizon():
              for _ in range(120)]
     digest = hashlib.sha256()
     for a, b in pairs:
-        digest.update(repr(ted_star(a, b, w)).encode())
+        digest.update(checked_repr(ted_star(a, b, w)).encode())
     assert digest.hexdigest() == \
         "14be7f669ceb32736c6058ae813937d04f572e994db7ba8a30683d7d611d8d3d"
 
@@ -434,7 +462,7 @@ def test_pinned_wplus_scripts():
              for _ in range(40)]
     digest = hashlib.sha256()
     for a, b in pairs:
-        digest.update(repr(ted_star(a, b, W_PLUS)).encode())
+        digest.update(checked_repr(ted_star(a, b, W_PLUS)).encode())
     assert digest.hexdigest() == \
         "0e9a70aaf49c50dd88fb4c5fdb9c271d5aa37538acdc8d0c2cd76aca56ca95dd"
 
@@ -455,9 +483,9 @@ def test_pinned_depth_three_scripts():
     digest = hashlib.sha256()
     for w in schemes:
         for a, b in pairs:
-            digest.update(repr(ted_star(a, b, w)).encode())
+            digest.update(checked_repr(ted_star(a, b, w)).encode())
     assert digest.hexdigest() == \
-        "f16a7695cd2af7ca8917bf8e8dac0b6878c05fb871007de5e774837ab5d8c07d"
+        "8ef66cc80a72e01fbf732368d82ffa3f587f5e4131acb219a17bda9676d8dd53"
 
 
 def test_pinned_exact_weights_beyond_oracle_horizon():
@@ -475,10 +503,10 @@ def test_pinned_exact_weights_beyond_oracle_horizon():
     digest = hashlib.sha256()
     for w in schemes:
         for a, b in pairs:
-            digest.update(repr(ted_star(a, b, w)).encode())
-            digest.update(repr(ted_star(b, a, w)).encode())
+            digest.update(checked_repr(ted_star(a, b, w)).encode())
+            digest.update(checked_repr(ted_star(b, a, w)).encode())
     assert digest.hexdigest() == \
-        "984664b1388f06bd8ba1165c3e438cb8370ee4707a1a9350ca6203e40fc80736"
+        "e6e5493712dc74b29a6cd226b74628f87934c99625a659dc8f3f5a700d237e62"
 
 
 def test_pinned_graph_neighborhood_scripts():
@@ -497,7 +525,7 @@ def test_pinned_graph_neighborhood_scripts():
     digest = hashlib.sha256()
     for w in (UNIT, W_PLUS):
         for a, b in pairs:
-            digest.update(repr(ted_star(a, b, w)).encode())
+            digest.update(checked_repr(ted_star(a, b, w)).encode())
     assert digest.hexdigest() == \
         "3a7733485fa7a21a182d4103d48186a7b23efeb37a2da822d305272b592f1363"
 

@@ -34,7 +34,7 @@ FRACTION_SCHEME = WeightScheme(leaf=lambda L: Fraction(L, 3),
 FLOAT_SCHEME = WeightScheme(leaf=lambda L: 0.1 * L + 0.07, move=lambda L: 0.3 * L + 0.11,
                             name="float")
 BOUND_SCHEMES = [UNIT, W_PLUS, criterion_1_random_scheme(), FRACTION_SCHEME, FLOAT_SCHEME]
-# integer values, but TED* returns Fractions under it
+# whole weights given as Fractions: its whole distances are ints all the same
 INT_FRACTION_SCHEME = WeightScheme(leaf=lambda L: Fraction(1),
                                    move=lambda L: Fraction(2 * L), name="int-fraction")
 
@@ -387,7 +387,7 @@ def test_distances_read_from_the_bound_equal_refined_ones(scheme, directed):
     for k in (1, 2, 3, 4):
         cache = TreeDistanceCache(scheme)
         index = build_index(g, k, cache=cache)
-        from_bound = k <= 3 and scheme in (UNIT, W_PLUS)
+        from_bound = k <= 3
         for v in range(0, g.n, 4):
             q = signature(g, v, k)
             assert index._bound.is_distance(q) == from_bound
@@ -499,8 +499,8 @@ def test_shallow_hausdorff_values_are_pinned(directed):
     # each (UNIT, W_PLUS, FRACTION_SCHEME) value per seed, as keying every
     # node's extracted signature gave them
     want = {
-        False: {1: (0, 0, 0), 2: (1, 1, Fraction(2, 3)), 3: (3, 3, Fraction(2))},
-        True: {1: (2, 2, Fraction(4, 3)), 2: (3, 3, Fraction(2)), 3: (3, 3, Fraction(2))},
+        False: {1: (0, 0, 0), 2: (1, 1, Fraction(2, 3)), 3: (3, 3, 2)},
+        True: {1: (2, 2, Fraction(4, 3)), 2: (3, 3, 2), 3: (3, 3, 2)},
     }[directed]
     for seed, values in want.items():
         a = with_isolated_nodes(random_graph(40, 60, seed=seed, directed=directed))
