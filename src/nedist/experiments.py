@@ -98,7 +98,7 @@ class AnonymizationSpec:
     def __post_init__(self):
         if self.method not in ANON_METHODS:
             raise UsageError(f"unknown anonymization method {self.method!r}")
-        if not (isinstance(self.p, numbers.Real) and 0 <= self.p <= 1):
+        if isinstance(self.p, bool) or not (isinstance(self.p, numbers.Real) and 0 <= self.p <= 1):
             raise UsageError(f"ratio p must be a real number in [0,1], got {self.p!r}")
 
 

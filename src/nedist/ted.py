@@ -136,12 +136,15 @@ def _check_weight(w, what: str):
 
 
 def exact_number(x):
-    """``x`` read exactly, or None if it is not a finite real number: an
-    ``int`` or a ``Fraction`` as given, another integer (numpy's) as an
-    ``int``, and a float (Python's or numpy's) as the decimal it prints as,
-    ``Fraction(str(x))``, so ``0.3`` is 3/10, as in a weight file."""
+    """``x`` read exactly, or None if it is not a finite real number (a
+    ``bool`` is not one): an ``int`` or a ``Fraction`` as given, another
+    integer (numpy's) as an ``int``, and a float (Python's or numpy's) as the
+    decimal it prints as, ``Fraction(str(x))``, so ``0.3`` is 3/10, as in a
+    weight file."""
     if type(x) is int or type(x) is Fraction:
         return x
+    if isinstance(x, bool):
+        return None
     if isinstance(x, numbers.Integral):   # numpy's integers
         return int(x)
     return Fraction(str(x)) if isinstance(x, numbers.Real) and math.isfinite(x) else None

@@ -9,10 +9,12 @@ group's first member has its signature extracted; an entry's own signature
 is extracted when first read.  Deeper, a tree's group key is
 ``LevelTree.class_key``: at depth <= 3 its level sizes and sorted level-2
 child counts, which fix its isomorphism class and which the bound reads
-anyway, so no AHU pass is made; deeper still, its AHU literal.  A query
-computes a lower bound LB for every group and yields the entries nearest
-first (``VpIndex.walk``), refining a group only once its LB is at most the
-next distance to yield, so results and their tie order equal
+anyway, so no AHU pass is made; deeper still, its AHU literal.  At k = 3 in
+an undirected graph that key is read from the sparse adjacency, and only a
+root where some node has two candidate parents has its tree extracted.  A
+query computes a lower bound LB for every group and yields the entries
+nearest first (``VpIndex.walk``), refining a group only once its LB is at
+most the next distance to yield, so results and their tie order equal
 ``linear_scan``'s.  Pruning relies only on LB <= distance, so a query is
 exact for the shipped distance whether or not it is a metric.  TED* can
 break the triangle inequality at depth 4 or more, and a vantage-point tree,
@@ -37,12 +39,12 @@ sum over t is the L1 distance D_i of the two levels' child counts, each
 sorted and padded with zeros.  At depth <= 3 LB is TED*'s closed form
 (``nedist.ted``), so where the query and every signature have depth
 <= k <= 3, a query reads each distance from its bound, under every scheme,
-and refines nothing.  At any depth LB <= TED*: each level's matching
-re-parents at least (D_i - P_(i+1)) / 2 children, with P_(i+1) the padding
-one level down, and each costs at least c_i, a move or a delete and
-re-insert.  Every weight is read as an int or
-a Fraction (``WeightScheme``), so the bound is in exact scaled integers
-under every scheme.
+and refines nothing: each run of equal sorted bounds is one distance.  At
+any depth LB <= TED*: each level's matching re-parents at least
+(D_i - P_(i+1)) / 2 children, with P_(i+1) the padding one level down, and
+each costs at least c_i, a move or a delete and re-insert.  Every weight is
+read as an int or a Fraction (``WeightScheme``), so the bound is in exact
+scaled integers under every scheme.
 """
 
 from __future__ import annotations
@@ -50,23 +52,26 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain, islice, repeat
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import UsageError, check_count
 from .graph import Graph
 from .ned import TreeDistanceCache, signature, signature_distance, signature_trees
 from .ted import bound_weights, exact_number
+from .tree import LevelTree
 
 
 def _check_radius(r):
     """``r`` read exactly, as a weight is (``exact_number``: a float as the
-    decimal it prints as), if it is a real number >= 0 (not NaN), else
-    UsageError; infinity stays ``math.inf``."""
+    decimal it prints as), if it is a real number >= 0 (not NaN, not a
+    ``bool``), else UsageError; infinity stays ``math.inf``."""
     exact = math.inf if isinstance(r, numbers.Real) and r == math.inf else exact_number(r)
     if exact is None or not exact >= 0:
         raise UsageError(f"radius must be a real number >= 0, got {r!r}")
@@ -205,10 +210,12 @@ class VpIndex:
     def walk(self, query, r=None):
         """The entries within distance r (any, when None), nearest first:
         (distance, entry indices) per distance, both ascending.  A group's
-        distance is taken, from its LB where that is the distance or else by
-        refining it, only once its LB is at most ``unit`` times the next
-        distance to yield and times r, so a caller that stops early takes
-        nothing more.
+        distance is taken only once its LB is at most ``unit`` times the
+        next distance to yield and times r, so a caller that stops early
+        takes nothing more.  Where the LB is the distance
+        (``bound.is_distance``), each run of equal sorted LBs is one
+        distance, taken as it is yielded (``_runs``); else each group is
+        refined and held in a heap until its distance is the next.
         """
         unit = self._bound.unit
         r = math.inf if r is None else _check_radius(r)
@@ -217,14 +224,16 @@ class VpIndex:
         order = np.argsort(lbs, kind="stable")
         lbs = lbs[order].tolist()
         order = order.tolist()
-        read = self._bound.distance if self._bound.is_distance(query) else None
-        pending: list[tuple] = []   # taken, not yet yielded: a heap of (distance, group)
+        if self._bound.is_distance(query):
+            yield from self._runs(lbs, order, limit)
+            return
+        pending: list[tuple] = []   # refined, not yet yielded: a heap of (distance, group)
         j = 0
         while True:
             while (j < len(order) and lbs[j] <= limit
                    and not (pending and lbs[j] > unit * pending[0][0])):
                 self.eval_count += 1
-                d = read(lbs[j]) if read else self._refine(query, order[j])
+                d = self._refine(query, order[j])
                 if d <= r:
                     heapq.heappush(pending, (d, order[j]))
                 j += 1
@@ -235,6 +244,19 @@ class VpIndex:
             while pending and pending[0][0] == d:
                 members.append(self.groups[heapq.heappop(pending)[1]])
             yield d, members[0] if len(members) == 1 else sorted(chain.from_iterable(members))
+
+    def _runs(self, lbs: list, order: list[int], limit):
+        """``walk`` where each LB is ``unit`` times its distance: each run of
+        equal sorted ``lbs`` up to ``limit`` is one distance, whose groups
+        ``order[i:j]`` are taken, and counted, as the run is yielded."""
+        i = 0
+        while i < len(order) and lbs[i] <= limit:
+            j = bisect_right(lbs, lbs[i], i)
+            self.eval_count += j - i
+            members = (self.groups[order[i]] if j - i == 1 else
+                       sorted(chain.from_iterable(map(self.groups.__getitem__, order[i:j]))))
+            yield self._bound.distance(lbs[i]), members
+            i = j
 
     def knn(self, query, l: int):
         """The l nearest entries: the first l of ``walk``.
@@ -287,20 +309,81 @@ def _signature_groups(sigs):
     return list(groups.values())
 
 
+def _adjacency_keys(g: Graph) -> list:
+    """Each node's depth-3 ``class_key`` in an undirected graph, read from
+    the sparse adjacency A, or None for a root with a parent choice.
+
+    For root r and a node w off N[r], (A^2)[r, w] counts w's candidate
+    parents, so level 3 is the w with an entry >= 1, and r has a parent
+    choice iff one entry is >= 2.  With none, neighbor u's child count is
+    deg(u) - 1 - (A^2)[r, u], its degree less the root and the triangles on
+    the edge (r, u).
+    """
+    n = g.n
+    deg = np.fromiter(map(len, g.adj), np.int64, n)
+    ptr = np.concatenate(([0], deg.cumsum()))
+    nbrs = np.fromiter(chain.from_iterable(g.adj), np.int64, int(ptr[-1]))
+    a = csr_matrix((np.ones(len(nbrs), np.int64), nbrs, ptr), shape=(n, n))
+    a2 = a @ a
+    # each entry of A^2 as row * n + column, looked up among A's edges, which
+    # are ascending in that order, before a sentinel past every entry
+    rows = np.repeat(np.arange(n), deg)
+    edges = np.append(rows * n + nbrs, n * n)
+    rows2 = np.repeat(np.arange(n), np.diff(a2.indptr))
+    cells = rows2 * n + a2.indices
+    at = np.searchsorted(edges, cells)
+    is_edge = edges[at] == cells
+    off = ~is_edge & (a2.indices != rows2)   # off N[r]: on level 3
+    level3 = np.bincount(rows2[off], minlength=n).tolist()
+    choice = np.bincount(rows2[off & (a2.data >= 2)], minlength=n).tolist()
+    triangles = np.zeros(len(edges), np.int64)
+    triangles[at[is_edge]] = a2.data[is_edge]
+    kids = deg[nbrs] - 1 - triangles[:-1]
+    kids = (np.sort(rows * n + kids) - rows * n).tolist()   # ascending per root
+    deg, ptr = deg.tolist(), ptr.tolist()
+    keys = []
+    for v in range(n):
+        if choice[v]:
+            keys.append(None)
+        elif level3[v]:
+            keys.append(((1, deg[v], level3[v]), tuple(kids[ptr[v]:ptr[v + 1]])))
+        else:
+            keys.append(((1, deg[v]), ()) if deg[v] else ((1,), ()))
+    return keys
+
+
+def _key_tree(key) -> LevelTree:
+    """A tree of the class of a depth-<=3 ``class_key`` (level sizes, sorted
+    level-2 child counts), its child counts preset."""
+    sizes, kids = key
+    # level 1's count is level 2's size, sizes[1:2]; the last level's are 0
+    counts = (sizes[1:2], kids)[:len(sizes) - 1] + ((0,) * sizes[-1],)
+    levels = ((None,),) + tuple(tuple(chain.from_iterable(map(repeat, range(len(c)), c)))
+                                for c in counts[:-1])
+    return LevelTree(levels, _counts=counts)
+
+
 def _node_groups(g: Graph, k: int):
     """``_signature_groups`` over the depth-k signatures of ``g``'s nodes.
 
     At k <= 2 a tree is the root and its neighbors, a star fixed by the
     root's degree, so nodes are grouped by degree, or by (in-degree,
     out-degree) when directed, and only each group's first member has its
-    signature extracted.  Deeper, which parent a node takes depends on the
-    BFS, so every node's signature is extracted and keyed.
+    signature extracted.  At k = 3 in an undirected graph, a node's class key
+    is read from the adjacency (``_adjacency_keys``), and only a root with a
+    parent choice has its tree extracted and keyed; each group's
+    representative is built from its key (``_key_tree``).  Otherwise which
+    parent a node takes depends on the BFS, so every node's signature is
+    extracted and keyed.
     """
     check_count(k, "k")
-    if k > 2:
+    if k > 3 or (k == 3 and g.directed):
         return _signature_groups([signature(g, v, k) for v in range(g.n)])
     if k == 1:
         keys = repeat(0, g.n)
+    elif k == 3:
+        keys = [signature(g, v, 3).class_key() if key is None else key
+                for v, key in enumerate(_adjacency_keys(g))]
     elif g.directed:
         keys = zip(map(len, g.radj), map(len, g.adj))
     else:
@@ -312,6 +395,8 @@ def _node_groups(g: Graph, k: int):
             groups[key] = [v]
         else:
             members.append(v)
+    if k == 3:
+        return [(_key_tree(key), m) for key, m in groups.items()]
     return [(signature(g, m[0], k), m) for m in groups.values()]
 
 
@@ -336,11 +421,13 @@ def build_index(g: Graph, k: int, seed: int = 0,
     the weight scheme of ``cache`` (a new unit cache when None).
 
     Nodes are grouped by signature class (``_node_groups``: at k <= 2 by
-    degree), and only each group's representative signature is extracted
-    while building; an entry's own signature is extracted when the index
-    first reads it (``VpIndex.items``).  Directed graphs are indexed under
-    the directed node distance (sum of the incoming-tree and outgoing-tree
-    distances).  ``seed`` is accepted for callers of the former VP-tree;
+    degree, and at k = 3 in an undirected graph by a key read from the
+    adjacency), and only the signatures those keys need are extracted while
+    building: each group's first at k <= 2, each root with a parent choice
+    at k = 3, every node's otherwise.  An entry's own signature is extracted
+    when the index first reads it (``VpIndex.items``).  Directed graphs are
+    indexed under the directed node distance (sum of the incoming-tree and
+    outgoing-tree distances).  ``seed`` is accepted for callers of the former VP-tree;
     results no longer depend on it.
     """
     if g.n == 0:

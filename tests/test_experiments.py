@@ -44,6 +44,9 @@ def test_spec_validation():
     for p in ("0.5", 1j, None):   # not a real number: refused, not a TypeError
         with pytest.raises(UsageError, match="real number"):
             AnonymizationSpec("perturb", p=p)
+    for p in (True, False):   # a bool is an int, but True is not a ratio of 1
+        with pytest.raises(UsageError, match="real number"):
+            AnonymizationSpec("perturb", p=p)
 
 
 def test_deanonymize_reads_fraction_scheme_distances_from_the_bound():

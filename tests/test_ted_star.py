@@ -21,6 +21,7 @@ from nedist.ted import (
     _split_table,
     build_bipartite_weights,
     canonize_level,
+    exact_number,
     ted_star,
     ted_star_distance_only,
 )
@@ -244,6 +245,17 @@ def test_weight_scheme_rejects_nonpositive():
         WeightScheme(leaf=lambda level: -1).leaf_cost(2)
     with pytest.raises(UsageError):
         WeightScheme(leaf=object())
+
+
+def test_a_bool_is_not_a_weight():
+    # a bool is an int, but True is not a weight of 1
+    for bad in (True, False):
+        assert exact_number(bad) is None
+        with pytest.raises(UsageError, match="finite positive number"):
+            WeightScheme(leaf={2: bad})
+        with pytest.raises(UsageError, match="finite positive number"):
+            WeightScheme(move=lambda level: bad).move_cost(1)
+    assert exact_number(np.int64(2)) == 2 and WeightScheme(leaf={2: np.int64(2)}).leaf_cost(2) == 2
 
 
 def test_weight_scheme_rejects_nan_and_non_real_weights():

@@ -5,8 +5,9 @@ look them up by, so renaming one of them breaks traced benchmark runs.  These
 tests install and remove the hooks without running the benchmark, and check
 that a traced distance deep enough to be matched counts its matrices and
 that building an index is traced as one extraction per tree it reads: one
-per group at k <= 2, where a node's degree is its group key, and one per
-node deeper.
+per group at k <= 2, where a node's degree is its group key; at k = 3 one
+per root with a parent choice in an undirected graph, whose other nodes are
+keyed from the adjacency, and one per node in a directed graph.
 """
 
 import importlib.util
@@ -67,7 +68,8 @@ def test_traced_index_build_counts_one_extraction_per_tree(directed):
         finally:
             tracer.uninstall()
         # k = 2 groups nodes by degree and extracts each group's first
-        # member's signature; k = 3 extracts every node's to key it
-        trees = len(index.groups) if k == 2 else g.n
+        # member's signature; k = 3 extracts the 10 roots with a parent
+        # choice when undirected, and every node's signature when directed
+        trees = len(index.groups) if k == 2 else g.n if directed else 10
         assert 1 < len(index.groups) < g.n
         assert tracer.calls("tree.extract") == trees * sides

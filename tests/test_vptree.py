@@ -1,5 +1,6 @@
 import gc
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from nedist.ned import (
 )
 from nedist.oracle import enumerate_trees
 from nedist.ted import UNIT, W_PLUS, WeightScheme, ted_star_distance_only
-from nedist.tree import parse_tree_literal as P
+from nedist.tree import LevelTree, parse_tree_literal as P
 from nedist.vptree import (
     SignatureBound,
     VpIndex,
@@ -190,6 +191,19 @@ def test_a_bool_is_not_a_count():
             index.knn(tree_for(g, 0, 2), bad)
     # a and c share degree 1: the index extracts only the first one's tree
     assert g._tree_cache.keys() == {(0, 2, "undirected"), (1, 2, "undirected")}
+
+
+def test_a_bool_is_not_a_radius():
+    # True once read as radius 1
+    g = parse_edge_list("a b\nb c\n")
+    index = build_index(g, 2)
+    q = tree_for(g, 0, 2)
+    for bad in (True, False):
+        for call in (lambda: index.range_query(q, bad), lambda: next(index.walk(q, bad)),
+                     lambda: index.linear_scan(q, r=bad)):
+            with pytest.raises(UsageError, match="radius must be a real number"):
+                call()
+    assert index.range_query(q, 1)[0] == [("a", 0), ("c", 0), ("b", 1)]
 
 
 def test_build_index_rejects_an_empty_graph():
@@ -473,21 +487,44 @@ def with_isolated_nodes(g):
     return build_graph(labels, [(i + 1, j + 1) for i, j in g.edges()], g.directed)
 
 
+def choice_roots(g):
+    """The roots of ``g`` (undirected) whose depth-3 tree has a node with
+    two or more candidate parents."""
+    roots = 0
+    for r in range(g.n):
+        near = {r, *g.adj[r]}
+        reach = Counter(w for u in g.adj[r] for w in g.adj[u] if w not in near)
+        roots += any(c >= 2 for c in reach.values())
+    return roots
+
+
 @pytest.mark.parametrize("directed", [False, True])
 def test_shallow_node_groups_equal_the_extracted_signature_groups(directed):
     # at k <= 2 nodes are grouped by degree, with no tree extracted but each
-    # group's first: the same groups, members and representatives as keying
-    # every node's extracted signature
-    for seed in (1, 2, 3):
-        edges = to_edge_list(random_graph(40, 60, seed=seed, directed=directed))
-        for k in (1, 2):
+    # group's first; at k = 3 an undirected graph's nodes are keyed from the
+    # adjacency, with no tree extracted but those of roots with a parent
+    # choice: the same groups and members as keying every node's extracted
+    # signature, and representatives of the same classes
+    sides = 2 if directed else 1
+    for seed, n, m in ((1, 40, 60), (2, 40, 60), (3, 40, 60), (4, 30, 90)):
+        edges = to_edge_list(random_graph(n, m, seed=seed, directed=directed))
+        for k in (1, 2, 3):
             g = with_isolated_nodes(parse_edge_list(edges, directed=directed))
             got = _node_groups(g, k)
-            assert len(g._tree_cache) == len(got) * (2 if directed else 1)
+            extracted = len(g._tree_cache)
             want = _signature_groups([signature(g, v, k) for v in range(g.n)])
             assert [members for _, members in got] == [members for _, members in want]
-            assert [rep for rep, _ in got] == [rep for rep, _ in want]
-            if k == 2:
+            if k == 3 and not directed:
+                assert extracted == choice_roots(g) > 0
+                assert any(set(g.adj[u]) & set(g.adj[v]) for u, v in g.edges())   # triangles
+                assert [rep.class_key() for rep, _ in got] == [rep.class_key() for rep, _ in want]
+                for rep, _ in got:   # the preset counts are the levels'
+                    assert LevelTree(rep.levels).child_counts() == rep.child_counts()
+            else:
+                assert extracted == (g.n if k == 3 else len(got)) * sides
+                assert [rep for rep, _ in got] == [rep for rep, _ in want]
+            assert_rows_are_vectors([rep for rep, _ in got], UNIT, k)
+            if k >= 2:
                 assert [0, g.n - 1] in [members for _, members in got]
             nodes = [0, g.n - 1, *range(1, g.n, 7)]
             for scheme in (UNIT, FRACTION_SCHEME):   # the bound, then refining
@@ -496,19 +533,65 @@ def test_shallow_node_groups_equal_the_extracted_signature_groups(directed):
 
 @pytest.mark.parametrize("directed", [False, True])
 def test_shallow_hausdorff_values_are_pinned(directed):
-    # each (UNIT, W_PLUS, FRACTION_SCHEME) value per seed, as keying every
-    # node's extracted signature gave them
+    # each (UNIT, W_PLUS, FRACTION_SCHEME) value per seed and k, as keying
+    # every node's extracted signature gave them
     want = {
-        False: {1: (0, 0, 0), 2: (1, 1, Fraction(2, 3)), 3: (3, 3, 2)},
-        True: {1: (2, 2, Fraction(4, 3)), 2: (3, 3, 2), 3: (3, 3, 2)},
+        False: {1: ((0, 0, 0), (4, 5, Fraction(71, 21))),
+                2: ((1, 1, Fraction(2, 3)), (6, 9, Fraction(101, 21))),
+                3: ((3, 3, 2), (8, 8, Fraction(149, 21)))},
+        True: {1: ((2, 2, Fraction(4, 3)), (7, 7, Fraction(19, 3))),
+               2: ((3, 3, 2), (9, 9, Fraction(46, 7))),
+               3: ((3, 3, 2), (10, 10, Fraction(28, 3)))},
     }[directed]
-    for seed, values in want.items():
+    for seed, (at_2, at_3) in want.items():
         a = with_isolated_nodes(random_graph(40, 60, seed=seed, directed=directed))
         b = random_graph(36, 70, seed=seed + 10, directed=directed)
-        for k, pinned in ((1, (0, 0, 0)), (2, values)):
+        for k, pinned in ((1, (0, 0, 0)), (2, at_2), (3, at_3)):
             got = tuple(hausdorff_graph_distance(a, b, k, cache=TreeDistanceCache(scheme))
                         for scheme in (UNIT, W_PLUS, FRACTION_SCHEME))
             assert repr(got) == repr(pinned), (seed, k)
+
+
+class Refining:
+    """``bound`` vouching for no distance, so a walk refines each group."""
+
+    def __init__(self, bound):
+        self._bound, self.unit = bound, bound.unit
+
+    def __call__(self, query):
+        return self._bound(query)
+
+    def is_distance(self, query):
+        return False
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_the_walk_over_runs_equals_the_refining_walk(directed):
+    # where the bound is the distance the walk yields runs of equal bounds
+    # with no heap: the same stream, and the same groups taken by each yield,
+    # as refining each group by TED*
+    g = random_graph(40, 80, seed=18, directed=directed)
+
+    def stream(index, q, r):
+        index.eval_count = 0
+        out = [(repr(d), members, index.eval_count) for d, members in index.walk(q, r)]
+        return out, index.eval_count
+
+    merged = 0   # yields that merge several groups
+    for k in (1, 2, 3):
+        for scheme in (UNIT, FRACTION_SCHEME):
+            direct = build_index(g, k, cache=TreeDistanceCache(scheme))
+            refining = VpIndex(direct.items, direct._distance, direct.groups,
+                               Refining(direct._bound), labels=g.labels)
+            for v in range(0, g.n, 5):
+                q = signature(g, v, k)
+                assert direct._bound.is_distance(q)
+                for r in (None, 0, 1, 2.5):
+                    got = stream(direct, q, r)
+                    assert got == stream(refining, q, r), (k, scheme.name, v, r)
+                    taken = [0] + [count for _, _, count in got[0]]
+                    merged += sum(b - a > 1 for a, b in zip(taken, taken[1:]))
+    assert merged > 0
 
 
 @pytest.mark.parametrize("directed", [False, True])
