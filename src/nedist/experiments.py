@@ -55,7 +55,7 @@ def random_graph(n: int, m: int, seed=0, directed: bool = False) -> Graph:
     """Uniform simple graph with n nodes and m distinct edges (no self-loops)."""
     check_count(n, "n")
     limit = n * (n - 1) if directed else n * (n - 1) // 2
-    if not (isinstance(m, numbers.Integral) and 0 <= m <= limit):
+    if isinstance(m, bool) or not (isinstance(m, numbers.Integral) and 0 <= m <= limit):
         raise UsageError(f"edge count must be an integer in 0..{limit}, got {m!r}")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     labels = [f"v{i}" for i in range(n)]

@@ -74,10 +74,11 @@ class WeightScheme:
     costs ``leaf_cost(L)``.  ``move`` prices a same-level move by the level
     of the parents: re-parenting a node at level L + 1 from one node at
     level L to another costs ``move_cost(L)``.  Either can be a mapping
-    {level: weight} (levels are 1-based, the root is level 1; unlisted
-    levels default to 1) or a callable level -> weight.  Each weight must be
-    a finite real number above 0: a mapping's are checked here, a callable's
-    each time ``leaf_cost`` or ``move_cost`` reads one (UsageError otherwise).
+    {level: weight} (levels are integers >= 1, not ``bool``, the root is
+    level 1; unlisted levels default to 1) or a callable level -> weight.
+    Each weight must be a finite real number above 0: a mapping's levels
+    and weights are checked here, a callable's weights each time
+    ``leaf_cost`` or ``move_cost`` reads one (UsageError otherwise).
 
     Weights are read exactly (``exact_number``): ``0.3`` is 3/10, as in a
     weight file, and a distance is an ``int`` when it is whole and a
@@ -122,7 +123,8 @@ def _per_level(spec, what: str) -> Callable[[int], object]:
     if callable(spec):
         return lambda level: _check_weight(spec(level), f"{what} weight at level {level}")
     if isinstance(spec, Mapping):
-        table = {level: _check_weight(w, f"weight for level {level}") for level, w in spec.items()}
+        table = {int(check_count(level, f"{what} weight level")):
+                 _check_weight(w, f"weight for level {level}") for level, w in spec.items()}
         return lambda level: table.get(level, 1)
     raise UsageError("weight spec must be a mapping, callable, or None")
 

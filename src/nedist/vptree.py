@@ -3,24 +3,24 @@ lower bound on TED*.
 
 Nodes with isomorphic signatures are at one distance from any query, so the
 index groups them, each group's members in ascending node index
-(``_node_groups``).  At k <= 2 a tree is a star, so a node's degree (its
-(in-degree, out-degree) pair when directed) is its group key, and only each
-group's first member has its signature extracted; an entry's own signature
-is extracted when first read.  Deeper, a tree's group key is
-``LevelTree.class_key``: at depth <= 3 its level sizes and sorted level-2
-child counts, which fix its isomorphism class and which the bound reads
-anyway, so no AHU pass is made; deeper still, its AHU literal.  At k = 3 in
-an undirected graph that key is read from the sparse adjacency, and only a
-root where some node has two candidate parents has its tree extracted.  A
-query computes a lower bound LB for every group and yields the entries
-nearest first (``VpIndex.walk``), refining a group only once its LB is at
-most the next distance to yield, so results and their tie order equal
-``linear_scan``'s.  Pruning relies only on LB <= distance, so a query is
-exact for the shipped distance whether or not it is a metric.  TED* can
-break the triangle inequality at depth 4 or more, and a vantage-point tree,
-which prunes by it, then misses neighbors: on criterion 1's pool
-(``random.Random(11)``) under ``W_PLUS`` it answered ``knn(pool[23], 3)``
-with ``[(23, 0), (44, 13), (58, 13)]``, where a linear scan, and this
+(``_node_groups``); an entry's own signature is extracted when first read.
+A tree's group key is ``LevelTree.class_key``: at depth <= 3 its level sizes
+and sorted level-2 child counts, which fix its isomorphism class and which
+the bound reads anyway, so no AHU pass is made; deeper, its AHU literal.  At
+k <= 3 the keys are read from the graph, one per tree (an in-tree and an
+out-tree when directed), and each group's representative is built from its
+keys: at k <= 2 a tree is a star, fixed by the root's degree, and at k = 3
+the key is read from the sparse adjacency, and only a root where some node
+has two candidate parents has that tree extracted.  A query computes a
+lower bound LB for every group and yields the entries nearest first
+(``VpIndex.walk``), refining a group only once its LB is at most the next
+distance to yield, so results and their tie order equal ``linear_scan``'s.
+Pruning relies only on LB <= distance, so a query is exact for the shipped
+distance whether or not it is a metric.  TED* can break the triangle
+inequality at depth 4 or more, and a vantage-point tree, which prunes by
+it, then misses neighbors: on criterion 1's pool (``random.Random(11)``)
+under ``W_PLUS`` it answered ``knn(pool[23], 3)`` with
+``[(23, 0), (44, 13), (58, 13)]``, where a linear scan, and this
 index, give ``[(23, 0), (35, 13), (44, 13)]``.  A query whose signature is
 directed where the index's is undirected, or the reverse, is a UsageError.
 The graph-to-graph Hausdorff distance (``hausdorff_graph_distance``) reads
@@ -63,7 +63,8 @@ from scipy.sparse import csr_matrix
 
 from .errors import UsageError, check_count
 from .graph import Graph
-from .ned import TreeDistanceCache, signature, signature_distance, signature_trees
+from .ned import (TreeDistanceCache, signature, signature_distance, signature_trees,
+                  tree_for)
 from .ted import bound_weights, exact_number
 from .tree import LevelTree
 
@@ -309,36 +310,57 @@ def _signature_groups(sigs):
     return list(groups.values())
 
 
-def _adjacency_keys(g: Graph) -> list:
-    """Each node's depth-3 ``class_key`` in an undirected graph, read from
-    the sparse adjacency A, or None for a root with a parent choice.
+def _adjacency_keys(g: Graph, down) -> list:
+    """Each node's depth-3 ``class_key`` for the tree grown along ``down``,
+    read from the sparse matrix D of those edges, or None for a root with a
+    parent choice.  ``down`` is the direction ``extract_k_adjacent_tree``
+    follows: ``g.adj`` in an undirected graph and for out-trees, ``g.radj``
+    for in-trees.
 
-    For root r and a node w off N[r], (A^2)[r, w] counts w's candidate
-    parents, so level 3 is the w with an entry >= 1, and r has a parent
-    choice iff one entry is >= 2.  With none, neighbor u's child count is
+    For root r and a node w outside {r} and down[r], (D^2)[r, w] counts w's
+    candidate parents, so level 3 is the w with an entry >= 1, and r has a
+    parent choice iff one entry is >= 2.  With none, child u of r takes
+    every node of down[u] but r and those on level 2:
+    |down[u]| - D[u, r] - (D D^T)[r, u] children.  Undirected, D = A is
+    symmetric, so D[u, r] = 1 and D D^T = A^2, the product already made:
     deg(u) - 1 - (A^2)[r, u], its degree less the root and the triangles on
     the edge (r, u).
     """
     n = g.n
-    deg = np.fromiter(map(len, g.adj), np.int64, n)
+    deg = np.fromiter(map(len, down), np.int64, n)
     ptr = np.concatenate(([0], deg.cumsum()))
-    nbrs = np.fromiter(chain.from_iterable(g.adj), np.int64, int(ptr[-1]))
-    a = csr_matrix((np.ones(len(nbrs), np.int64), nbrs, ptr), shape=(n, n))
-    a2 = a @ a
-    # each entry of A^2 as row * n + column, looked up among A's edges, which
+    nbrs = np.fromiter(chain.from_iterable(down), np.int64, int(ptr[-1]))
+    d = csr_matrix((np.ones(len(nbrs), np.int64), nbrs, ptr), shape=(n, n))
+    d2 = d @ d
+    # each entry of D^2 as row * n + column, looked up among D's edges, which
     # are ascending in that order, before a sentinel past every entry
     rows = np.repeat(np.arange(n), deg)
     edges = np.append(rows * n + nbrs, n * n)
-    rows2 = np.repeat(np.arange(n), np.diff(a2.indptr))
-    cells = rows2 * n + a2.indices
+    rows2 = np.repeat(np.arange(n), np.diff(d2.indptr))
+    cells = rows2 * n + d2.indices
     at = np.searchsorted(edges, cells)
     is_edge = edges[at] == cells
-    off = ~is_edge & (a2.indices != rows2)   # off N[r]: on level 3
+    off = ~is_edge & (d2.indices != rows2)   # outside {r} and down[r]: on level 3
     level3 = np.bincount(rows2[off], minlength=n).tolist()
-    choice = np.bincount(rows2[off & (a2.data >= 2)], minlength=n).tolist()
-    triangles = np.zeros(len(edges), np.int64)
-    triangles[at[is_edge]] = a2.data[is_edge]
-    kids = deg[nbrs] - 1 - triangles[:-1]
+    choice = np.bincount(rows2[off & (d2.data >= 2)], minlength=n).tolist()
+    if g.directed:
+        # D[u, r] and (D D^T)[r, u] of each edge (r, u), counted over its
+        # paths r -> u -> w, one step per path as D^2 takes: the paths back
+        # to r, and those to a w that (r, w) is an edge to.  D D^T is not
+        # made: a node with h edges into it and none out would put h^2
+        # entries in it and none in D^2.
+        hops = deg[nbrs]
+        path = np.repeat(np.arange(len(nbrs)), hops)
+        w = nbrs[np.arange(len(path)) + np.repeat(ptr[nbrs] - (hops.cumsum() - hops), hops)]
+        r = rows[path]
+        cells2 = r * n + w
+        back = np.bincount(path[w == r], minlength=len(nbrs))
+        shared = np.bincount(path[edges[np.searchsorted(edges, cells2)] == cells2],
+                             minlength=len(nbrs))
+    else:   # 1, and the entries of A^2 found on edges
+        back, shared = 1, np.zeros(len(nbrs), np.int64)
+        shared[at[is_edge]] = d2.data[is_edge]
+    kids = deg[nbrs] - back - shared
     kids = (np.sort(rows * n + kids) - rows * n).tolist()   # ascending per root
     deg, ptr = deg.tolist(), ptr.tolist()
     keys = []
@@ -348,8 +370,13 @@ def _adjacency_keys(g: Graph) -> list:
         elif level3[v]:
             keys.append(((1, deg[v], level3[v]), tuple(kids[ptr[v]:ptr[v + 1]])))
         else:
-            keys.append(((1, deg[v]), ()) if deg[v] else ((1,), ()))
+            keys.append(_star_key(deg[v]))
     return keys
+
+
+def _star_key(d: int) -> tuple:
+    """The ``class_key`` of a root with d children and no grandchildren."""
+    return ((1, d), ()) if d else ((1,), ())
 
 
 def _key_tree(key) -> LevelTree:
@@ -364,40 +391,40 @@ def _key_tree(key) -> LevelTree:
 
 
 def _node_groups(g: Graph, k: int):
-    """``_signature_groups`` over the depth-k signatures of ``g``'s nodes.
+    """``_signature_groups`` over the depth-k signatures of ``g``'s nodes:
+    the same groups and members in the same order, and representatives of
+    the same classes.
 
-    At k <= 2 a tree is the root and its neighbors, a star fixed by the
-    root's degree, so nodes are grouped by degree, or by (in-degree,
-    out-degree) when directed, and only each group's first member has its
-    signature extracted.  At k = 3 in an undirected graph, a node's class key
-    is read from the adjacency (``_adjacency_keys``), and only a root with a
-    parent choice has its tree extracted and keyed; each group's
-    representative is built from its key (``_key_tree``).  Otherwise which
-    parent a node takes depends on the BFS, so every node's signature is
-    extracted and keyed.
+    At k <= 3 each tree of a node (an in-tree along ``g.radj`` and an
+    out-tree along ``g.adj`` when directed) is keyed from the graph: at
+    k <= 2 it is a star, fixed by the root's degree along those edges (none
+    at k = 1), and at k = 3 ``_adjacency_keys`` leaves only the roots with a
+    parent choice to extract.  Each group's representative is built from
+    its key (``_key_tree``).  Deeper, which parent a node takes depends on
+    the BFS, so every node's signature is extracted and keyed.
     """
     check_count(k, "k")
-    if k > 3 or (k == 3 and g.directed):
+    if k > 3:
         return _signature_groups([signature(g, v, k) for v in range(g.n)])
-    if k == 1:
-        keys = repeat(0, g.n)
-    elif k == 3:
-        keys = [signature(g, v, 3).class_key() if key is None else key
-                for v, key in enumerate(_adjacency_keys(g))]
-    elif g.directed:
-        keys = zip(map(len, g.radj), map(len, g.adj))
-    else:
-        keys = map(len, g.adj)
+    sides = ((g.radj, "in"), (g.adj, "out")) if g.directed else ((g.adj, "undirected"),)
+    if k == 3:
+        keys = [[tree_for(g, v, 3, mode).class_key() if key is None else key
+                 for v, key in enumerate(_adjacency_keys(g, down))] for down, mode in sides]
+    else:   # an int per node, made a key per group
+        keys = [list(map(len, down)) if k == 2 else [0] * g.n for down, _ in sides]
     groups: dict = {}
-    for v, key in enumerate(keys):
+    for v, key in enumerate(zip(*keys) if g.directed else keys[0]):
         members = groups.get(key)
         if members is None:
             groups[key] = [v]
         else:
             members.append(v)
-    if k == 3:
-        return [(_key_tree(key), m) for key, m in groups.items()]
-    return [(signature(g, m[0], k), m) for m in groups.values()]
+
+    def tree(x):   # the tree of one side's key
+        return _key_tree(x if k == 3 else _star_key(x))
+
+    reps = [tuple(map(tree, key)) if g.directed else tree(key) for key in groups]
+    return list(zip(reps, groups.values()))
 
 
 class _Signatures(Sequence):
@@ -421,14 +448,14 @@ def build_index(g: Graph, k: int, seed: int = 0,
     the weight scheme of ``cache`` (a new unit cache when None).
 
     Nodes are grouped by signature class (``_node_groups``: at k <= 2 by
-    degree, and at k = 3 in an undirected graph by a key read from the
-    adjacency), and only the signatures those keys need are extracted while
-    building: each group's first at k <= 2, each root with a parent choice
-    at k = 3, every node's otherwise.  An entry's own signature is extracted
-    when the index first reads it (``VpIndex.items``).  Directed graphs are
-    indexed under the directed node distance (sum of the incoming-tree and
-    outgoing-tree distances).  ``seed`` is accepted for callers of the former VP-tree;
-    results no longer depend on it.
+    degree, and at k = 3 by keys read from the adjacency), and only the
+    trees those keys need are extracted while building: none at k <= 2,
+    each root's with a parent choice at k = 3, one per side when directed,
+    and every node's signature at k >= 4.  An entry's own signature is
+    extracted when the index first reads it (``VpIndex.items``).  Directed
+    graphs are indexed under the directed node distance (sum of the
+    incoming-tree and outgoing-tree distances).  ``seed`` is accepted for
+    callers of the former VP-tree; results no longer depend on it.
     """
     if g.n == 0:
         raise UsageError("cannot index an empty graph")

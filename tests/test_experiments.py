@@ -86,6 +86,16 @@ def test_generators_reject_bad_counts():
     assert random_graph(5, 10, seed=0).n == 5
 
 
+def test_a_bool_is_not_an_edge_count():
+    # a bool is an int, but True is not one edge
+    for bad in (True, False):
+        with pytest.raises(UsageError, match="edge count"):
+            random_graph(5, bad, seed=0)
+        with pytest.raises(UsageError, match="n must"):
+            random_graph(bad, 0, seed=0)
+    assert random_graph(5, 1, seed=0).edge_count == 1
+
+
 def test_random_graph_shape():
     g = random_graph(50, 100, seed=2)
     assert g.n == 50

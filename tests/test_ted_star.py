@@ -227,6 +227,17 @@ def test_weight_table_levels_are_counts():
     assert WeightScheme.from_table([(np.int64(2), 3, 1)]).leaf_cost(2) == 3
 
 
+def test_weight_mapping_levels_are_counts():
+    # a mapping's level is read as a weight table's is: {0: 2}, {"x": 3} and
+    # {1.5: 2} name no level, and {True: 5} does not price level 1
+    for bad in (0, -1, "x", 1.5, True, False, None):
+        for what in ("leaf", "move"):
+            with pytest.raises(UsageError, match=f"{what} weight level"):
+                WeightScheme(**{what: {bad: 2}})
+    w = WeightScheme(leaf={np.int64(2): 3}, move={1: 2})
+    assert (w.leaf_cost(2), w.leaf_cost(1), w.move_cost(1)) == (3, 1, 2)
+
+
 def test_weight_table_weights_are_read_or_refused():
     w = WeightScheme.from_table([(1, "1/3", 0.3), (2, Fraction(5, 2), "2")])
     assert (w.leaf_cost(1), w.move_cost(1)) == (Fraction(1, 3), Fraction(3, 10))

@@ -4,10 +4,10 @@
 look them up by, so renaming one of them breaks traced benchmark runs.  These
 tests install and remove the hooks without running the benchmark, and check
 that a traced distance deep enough to be matched counts its matrices and
-that building an index is traced as one extraction per tree it reads: one
-per group at k <= 2, where a node's degree is its group key; at k = 3 one
-per root with a parent choice in an undirected graph, whose other nodes are
-keyed from the adjacency, and one per node in a directed graph.
+that building an index is traced as one extraction per tree it reads: none
+at k <= 2, where a node's degree along each side's edges is its group key;
+at k = 3 one per root and side (in or out, when directed) with a parent
+choice, the other trees being keyed from the adjacency.
 """
 
 import importlib.util
@@ -59,17 +59,17 @@ def test_traced_depth_four_distance_counts_its_matrices():
 
 @pytest.mark.parametrize("directed", [False, True])
 def test_traced_index_build_counts_one_extraction_per_tree(directed):
-    g = random_graph(30, 45, seed=3, directed=directed)
-    sides = 2 if directed else 1   # an in-tree and an out-tree per signature
+    g = random_graph(30, 60 if directed else 45, seed=3, directed=directed)
     for k in (2, 3):
         tracer = load_tracer().Tracer().install()
         try:
             index = build_index(g, k)
         finally:
             tracer.uninstall()
-        # k = 2 groups nodes by degree and extracts each group's first
-        # member's signature; k = 3 extracts the 10 roots with a parent
-        # choice when undirected, and every node's signature when directed
-        trees = len(index.groups) if k == 2 else g.n if directed else 10
+        # k = 2 groups nodes by degree and builds each representative from
+        # its key; k = 3 extracts the trees of the 10 roots with a parent
+        # choice when undirected, and of the 2 in-tree and 2 out-tree roots
+        # with one when directed
+        trees = 0 if k == 2 else 4 if directed else 10
         assert 1 < len(index.groups) < g.n
-        assert tracer.calls("tree.extract") == trees * sides
+        assert tracer.calls("tree.extract") == trees

@@ -23,6 +23,7 @@ from nedist.tree import LevelTree, parse_tree_literal as P
 from nedist.vptree import (
     SignatureBound,
     VpIndex,
+    _adjacency_keys,
     _node_groups,
     _signature_groups,
     build_index,
@@ -189,8 +190,8 @@ def test_a_bool_is_not_a_count():
             build_index(g, bad)
         with pytest.raises(UsageError, match="l must be an integer >= 1"):
             index.knn(tree_for(g, 0, 2), bad)
-    # a and c share degree 1: the index extracts only the first one's tree
-    assert g._tree_cache.keys() == {(0, 2, "undirected"), (1, 2, "undirected")}
+    # the index builds its representatives from degrees: only the query's tree is extracted
+    assert g._tree_cache.keys() == {(0, 2, "undirected")}
 
 
 def test_a_bool_is_not_a_radius():
@@ -487,25 +488,31 @@ def with_isolated_nodes(g):
     return build_graph(labels, [(i + 1, j + 1) for i, j in g.edges()], g.directed)
 
 
-def choice_roots(g):
-    """The roots of ``g`` (undirected) whose depth-3 tree has a node with
+def choice_roots(g, down):
+    """The roots of ``g`` whose depth-3 tree along ``down`` has a node with
     two or more candidate parents."""
-    roots = 0
+    roots = []
     for r in range(g.n):
-        near = {r, *g.adj[r]}
-        reach = Counter(w for u in g.adj[r] for w in g.adj[u] if w not in near)
-        roots += any(c >= 2 for c in reach.values())
+        near = {r, *down[r]}
+        reach = Counter(w for u in down[r] for w in down[u] if w not in near)
+        if any(c >= 2 for c in reach.values()):
+            roots.append(r)
     return roots
+
+
+def sides(g):
+    """The edges each of a node's trees follows, with its extraction mode."""
+    return [(g.radj, "in"), (g.adj, "out")] if g.directed else [(g.adj, "undirected")]
 
 
 @pytest.mark.parametrize("directed", [False, True])
 def test_shallow_node_groups_equal_the_extracted_signature_groups(directed):
-    # at k <= 2 nodes are grouped by degree, with no tree extracted but each
-    # group's first; at k = 3 an undirected graph's nodes are keyed from the
-    # adjacency, with no tree extracted but those of roots with a parent
-    # choice: the same groups and members as keying every node's extracted
-    # signature, and representatives of the same classes
-    sides = 2 if directed else 1
+    # at k <= 2 nodes are grouped by degree, and at k = 3 keyed from the
+    # adjacency with no tree extracted but those of roots with a parent
+    # choice, per side: the same groups and members as keying every node's
+    # extracted signature, and representatives of the same classes, built
+    # from their keys
+    side_choices = [0, 0] if directed else [0]   # roots with a parent choice, per side
     for seed, n, m in ((1, 40, 60), (2, 40, 60), (3, 40, 60), (4, 30, 90)):
         edges = to_edge_list(random_graph(n, m, seed=seed, directed=directed))
         for k in (1, 2, 3):
@@ -514,21 +521,76 @@ def test_shallow_node_groups_equal_the_extracted_signature_groups(directed):
             extracted = len(g._tree_cache)
             want = _signature_groups([signature(g, v, k) for v in range(g.n)])
             assert [members for _, members in got] == [members for _, members in want]
-            if k == 3 and not directed:
-                assert extracted == choice_roots(g) > 0
-                assert any(set(g.adj[u]) & set(g.adj[v]) for u, v in g.edges())   # triangles
-                assert [rep.class_key() for rep, _ in got] == [rep.class_key() for rep, _ in want]
-                for rep, _ in got:   # the preset counts are the levels'
-                    assert LevelTree(rep.levels).child_counts() == rep.child_counts()
+            assert ([[t.class_key() for t in signature_trees(rep)] for rep, _ in got]
+                    == [[t.class_key() for t in signature_trees(rep)] for rep, _ in want])
+            for rep, _ in got:   # the preset counts are the levels'
+                for t in signature_trees(rep):
+                    assert t.node_ids is None
+                    assert LevelTree(t.levels).child_counts() == t.child_counts()
+            if k == 3:
+                chosen = [len(choice_roots(g, down)) for down, _ in sides(g)]
+                side_choices = [a + b for a, b in zip(side_choices, chosen)]
+                assert extracted == sum(chosen)
+                if not directed:
+                    assert extracted > 0
+                    assert any(set(g.adj[u]) & set(g.adj[v]) for u, v in g.edges())   # triangles
             else:
-                assert extracted == (g.n if k == 3 else len(got)) * sides
-                assert [rep for rep, _ in got] == [rep for rep, _ in want]
+                assert extracted == 0
             assert_rows_are_vectors([rep for rep, _ in got], UNIT, k)
             if k >= 2:
                 assert [0, g.n - 1] in [members for _, members in got]
             nodes = [0, g.n - 1, *range(1, g.n, 7)]
             for scheme in (UNIT, FRACTION_SCHEME):   # the bound, then refining
                 assert_index_is_exact(g, k, scheme, nodes, (0, 1, 2.5))
+    # extracted trees are mixed with keyed ones on every side
+    assert all(side_choices)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_adjacency_keys_equal_the_extracted_class_keys(directed):
+    # each side's key is its extracted tree's class key, and None exactly
+    # for the roots with a parent choice; the directed graphs hold
+    # reciprocal edges, sources, sinks and isolated nodes
+    graphs = [with_isolated_nodes(random_graph(n, m, seed=seed, directed=directed))
+              for seed, n, m in ((1, 30, 40), (2, 30, 80), (3, 40, 160))]
+    if directed:
+        assert any(u in g.adj[v] for g in graphs for u, v in g.edges())
+        assert any(g.adj[v] and not g.radj[v] for g in graphs for v in range(g.n))
+        assert any(g.radj[v] and not g.adj[v] for g in graphs for v in range(g.n))
+    keyed = chosen = 0
+    for g in graphs:
+        for down, mode in sides(g):
+            choice = set(choice_roots(g, down))
+            for v, key in enumerate(_adjacency_keys(g, down)):
+                assert (key is None) == (v in choice)
+                if key is not None:
+                    assert key == tree_for(g, v, 3, mode).class_key()
+            keyed += g.n - len(choice)
+            chosen += len(choice)
+    assert keyed > 0 and chosen > 0
+
+
+@pytest.mark.parametrize("inward", [False, True])
+def test_directed_hub_is_keyed_per_edge(inward):
+    # a hub with 3,000 leaves on one side of its edges: the leaves' paths
+    # through it are few, though the pairs of leaves sharing it are 9e6; a
+    # reciprocal leaf and a path past the hub give level 3 and a choice
+    h = 3000
+    edges = [(i, 0) for i in range(1, h + 1)]
+    edges += [(0, 1), (0, h + 1), (0, h + 2), (h + 1, h + 2), (1, h + 1)]
+    g = build_graph(list(range(h + 3)), edges if inward else [(v, u) for u, v in edges], True)
+    for down, mode in sides(g):
+        choice = set(choice_roots(g, down))
+        assert choice
+        for v, key in enumerate(_adjacency_keys(g, down)):
+            assert (key is None) == (v in choice)
+            if key is not None:
+                assert key == tree_for(g, v, 3, mode).class_key()
+    got = _node_groups(g, 3)
+    want = _signature_groups([signature(g, v, 3) for v in range(g.n)])
+    assert [members for _, members in got] == [members for _, members in want]
+    assert ([[t.class_key() for t in signature_trees(rep)] for rep, _ in got]
+            == [[t.class_key() for t in signature_trees(rep)] for rep, _ in want])
 
 
 @pytest.mark.parametrize("directed", [False, True])
