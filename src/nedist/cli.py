@@ -8,6 +8,8 @@ diagnostics).  All output is deterministic for fixed inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import sys
 from fractions import Fraction
 
@@ -80,10 +82,11 @@ def _emit(out, lines):
 
 
 def _rows_to_lines(rows, columns, fmt: str):
-    if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(str(r[c]) for c in columns) for r in rows]
-        return lines
+    if fmt == "csv":   # quoted where a field holds a comma, a quote or a line end
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(
+            [columns] + [[str(r[c]) for c in columns] for r in rows])
+        return out.getvalue().split("\n")[:-1]
     widths = [max(len(c), *(len(str(r[c])) for r in rows)) if rows else len(c)
               for c in columns]
     lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths))]

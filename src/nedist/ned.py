@@ -61,8 +61,9 @@ class TreeDistanceCache:
     """Distance memo keyed by tree isomorphism classes.
 
     Isomorphic trees are at distance 0 from each other, and the distance
-    depends only on the classes, so ``LevelTree.class_key`` fully determines
-    it; batch workloads hit the same shapes constantly.
+    depends only on the classes, so the pair of canonical shapes
+    (``LevelTree.class_key``) fully determines it; batch workloads hit the
+    same shapes constantly.
     """
 
     def __init__(self, weights: WeightScheme = UNIT):
@@ -73,10 +74,8 @@ class TreeDistanceCache:
 
     def distance(self, t1: LevelTree, t2: LevelTree):
         self.evaluations += 1
-        a = t1.class_key()
-        b = t2.class_key()
-        # a tuple key and a str key do not compare: order by kind first
-        key = (a, b) if (isinstance(a, str), a) <= (isinstance(b, str), b) else (b, a)
+        a, b = t1.class_key(), t2.class_key()
+        key = (a, b) if a <= b else (b, a)
         d = self._memo.get(key)
         if d is None:
             self.computations += 1

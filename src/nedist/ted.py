@@ -64,7 +64,7 @@ import numpy as np
 
 from .errors import InvariantError, UsageError, check_count
 from .assignment import matching_with_duals
-from .tree import LevelTree, canonical_form
+from .tree import LevelTree
 
 
 class WeightScheme:
@@ -410,8 +410,8 @@ def ted_star(t1: LevelTree, t2: LevelTree, weights: WeightScheme = UNIT):
 
     # the level search reads node order (tie-breaks, capped tie search), so it
     # runs on the canonical shapes; fixing an internal order makes symmetry exact
-    lit1, shape_a = canonical_form(t1)
-    lit2, shape_b = canonical_form(t2)
+    lit1, shape_a = t1.canonical_literal(), t1.class_key()
+    lit2, shape_b = t2.canonical_literal(), t2.class_key()
     sizes_a, sizes_b = sizes
     if lit1 > lit2:
         shape_a, shape_b, sizes_a, sizes_b = shape_b, shape_a, sizes_b, sizes_a

@@ -47,11 +47,10 @@ class LevelTree:
 
     def child_counts(self) -> tuple[tuple[int, ...], ...]:
         """Per level, each node's number of children in stored level order
-        (the last level's are all 0), memoized.  Unlike ``canonical_form`` it
-        needs no AHU pass.  The same pass checks that the levels are a tuple
-        of tuples, that level 1 is ``(None,)``, that no level is empty and
-        that each parent is an int index into the level above, and raises
-        UsageError where one is not."""
+        (the last level's are all 0), memoized, with no AHU pass.  The same
+        pass checks that the levels are a tuple of tuples, that level 1 is
+        ``(None,)``, that no level is empty and that each parent is an int
+        index into the level above, and raises UsageError where one is not."""
         if self._counts is None:
             levels = self.levels
             if not (isinstance(levels, tuple) and all(isinstance(lv, tuple) for lv in levels)):
@@ -69,21 +68,22 @@ class LevelTree:
             self._counts = tuple(map(tuple, counts))
         return self._counts
 
-    def class_key(self) -> tuple | str:
-        """A key equal for two trees iff they are isomorphic.  At depth <= 3
-        it is the level sizes and the sorted level-2 child counts, which fix
-        the tree, read from ``child_counts`` with no AHU pass; at depth <= 2
-        the sizes alone fix it, and the counts are ``()``.  Deeper it is the
-        AHU literal.  A tuple never equals a str, so the kinds never mix."""
-        if self.depth > 3:
-            return self.canonical_literal()
-        counts = self.child_counts()
-        return tuple(map(len, counts)), (tuple(sorted(counts[1])) if self.depth == 3 else ())
+    def class_key(self) -> tuple[tuple[int, ...], ...]:
+        """The canonical shape, equal iff the trees are isomorphic, memoized:
+        per level, the child counts in AHU canonical order (``_ahu``).  At
+        depth <= 3 that is ``child_counts`` with level 2 sorted, and no AHU
+        pass runs."""
+        if self._shape is None and self.depth > 3:
+            self.canonical_literal()
+        elif self._shape is None:
+            c = self.child_counts()
+            self._shape = c if self.depth < 3 else (c[0], tuple(sorted(c[1])), c[2])
+        return self._shape
 
     def canonical_literal(self) -> str:
         """AHU canonical form: equal strings iff the trees are isomorphic."""
         if self._canon is None:
-            self._canon = _ahu(self)
+            self._canon, self._shape = _ahu(self)
         return self._canon
 
 
@@ -264,31 +264,28 @@ def parse_tree_literal(s: str) -> LevelTree:
         tuple(counts[a:b]) for a, b in zip(ends[:-1], ends[1:])))
 
 
-def _ahu(t: LevelTree) -> str:
-    """AHU canonical literal, one level at a time from the bottom up: each
-    node's children in ascending (literal length, literal).  A malformed
+def _ahu(t: LevelTree) -> tuple[str, tuple[tuple[int, ...], ...]]:
+    """AHU canonical literal and shape, one level at a time from the bottom
+    up: each node's children in ascending (literal length, literal).  The
+    shape is then read top-down from those sorted child lists.  A malformed
     tree raises UsageError."""
     t.validate()
     below: list[str] = []
+    sorted_kids = []   # per level from the bottom, each node's children in canonical order
     for i in range(t.depth - 1, -1, -1):
         key = [_literal_key(s) for s in below]
         kids_by_node: list[list[int]] = [[] for _ in t.levels[i]]
         for c in sorted(range(len(below)), key=key.__getitem__):
             kids_by_node[t.levels[i + 1][c]].append(c)
         below = ["(" + "".join([below[c] for c in kids]) + ")" for kids in kids_by_node]
-    return below[0]
+        sorted_kids.append(kids_by_node)
+    shape, order = [], [0]
+    for kids_by_node in reversed(sorted_kids):
+        shape.append(tuple([len(kids_by_node[u]) for u in order]))
+        order = [c for u in order for c in kids_by_node[u]]
+    return below[0], tuple(shape)
 
 
 def to_tree_literal(t: LevelTree) -> str:
     """Serialize in AHU-canonical order: isomorphic trees serialize identically."""
     return t.canonical_literal()
-
-
-def canonical_form(t: LevelTree) -> tuple[str, tuple[tuple[int, ...], ...]]:
-    """The AHU literal of ``t`` and its shape: per level, the child counts of
-    its nodes in canonical level order, which is the literal's parsed child
-    counts (each node's children follow its left siblings' children).
-    Isomorphic trees get equal values; both are memoized on ``t``."""
-    if t._shape is None:
-        t._shape = parse_tree_literal(t.canonical_literal()).child_counts()
-    return t._canon, t._shape

@@ -4,14 +4,14 @@ lower bound on TED*.
 Nodes with isomorphic signatures are at one distance from any query, so the
 index groups them, each group's members in ascending node index
 (``_node_groups``); an entry's own signature is extracted when first read.
-A tree's group key is ``LevelTree.class_key``: at depth <= 3 its level sizes
-and sorted level-2 child counts, which fix its isomorphism class and which
-the bound reads anyway, so no AHU pass is made; deeper, its AHU literal.  At
-k <= 3 the keys are read from the graph, one per tree (an in-tree and an
-out-tree when directed), and each group's representative is built from its
-keys: at k <= 2 a tree is a star, fixed by the root's degree, and at k = 3
-the key is read from the sparse adjacency, and only a root where some node
-has two candidate parents has that tree extracted.  A query computes a
+A tree's group key is ``LevelTree.class_key``, its canonical shape: per
+level, the child counts in canonical order.  At depth <= 3 that is its child
+counts with level 2 sorted, so no AHU pass is made.  At k <= 3 the keys are
+read from the graph, one per tree (an in-tree and an out-tree when
+directed), and each group's representative is built from its keys: at
+k <= 2 a tree is a star, fixed by the root's degree, and at k = 3 the key is
+read from the sparse adjacency, and only a root where some node has two
+candidate parents has that tree extracted.  A query computes a
 lower bound LB for every group and yields the entries nearest first
 (``VpIndex.walk``), refining a group only once its LB is at most the next
 distance to yield, so results and their tie order equal ``linear_scan``'s.
@@ -181,8 +181,8 @@ class SignatureBound:
 class VpIndex:
     """Exact kNN and range queries over a fixed entry list.
 
-    ``items`` is the sequence of entries, kept as given: ``build_index``
-    passes one that extracts an entry's signature when it is first read.
+    ``items`` holds the entries: a Sequence is kept as given (``build_index``
+    passes one that extracts a signature when first read), else listed.
     ``distance`` is a function of a query and an entry.  ``groups``
     partitions the entry indices into ascending lists whose entries are at
     one distance from every query.  ``bound`` maps a query to one lower
@@ -193,10 +193,12 @@ class VpIndex:
     """
 
     def __init__(self, items, distance, groups, bound, labels=None):
-        if not items:
-            raise UsageError("cannot build an index over zero entries")
         self.items = items if isinstance(items, Sequence) else list(items)
-        self.labels = labels if labels is not None else list(range(len(items)))
+        if not self.items:
+            raise UsageError("cannot build an index over zero entries")
+        self.labels = list(range(len(self.items)) if labels is None else labels)
+        if len(self.labels) != len(self.items):
+            raise UsageError("labels must hold one label per entry")
         self._distance = distance
         self.groups = [list(m) for m in groups]
         if (sorted(i for m in self.groups for i in m) != list(range(len(self.items)))
@@ -311,11 +313,11 @@ def _signature_groups(sigs):
 
 
 def _adjacency_keys(g: Graph, down) -> list:
-    """Each node's depth-3 ``class_key`` for the tree grown along ``down``,
-    read from the sparse matrix D of those edges, or None for a root with a
-    parent choice.  ``down`` is the direction ``extract_k_adjacent_tree``
-    follows: ``g.adj`` in an undirected graph and for out-trees, ``g.radj``
-    for in-trees.
+    """Each node's ``class_key`` for its k = 3 tree grown along ``down``
+    (root degree, sorted child counts, level 3's zeros), read from the
+    sparse matrix D of those edges, or None for a root with a parent choice.
+    ``down`` is the direction ``extract_k_adjacent_tree`` follows: ``g.adj``
+    in an undirected graph and for out-trees, ``g.radj`` for in-trees.
 
     For root r and a node w outside {r} and down[r], (D^2)[r, w] counts w's
     candidate parents, so level 3 is the w with an entry >= 1, and r has a
@@ -363,12 +365,13 @@ def _adjacency_keys(g: Graph, down) -> list:
     kids = deg[nbrs] - back - shared
     kids = (np.sort(rows * n + kids) - rows * n).tolist()   # ascending per root
     deg, ptr = deg.tolist(), ptr.tolist()
+    leaves = {m: (0,) * m for m in set(level3)}   # level 3's counts, one shared tuple per size
     keys = []
     for v in range(n):
         if choice[v]:
             keys.append(None)
         elif level3[v]:
-            keys.append(((1, deg[v], level3[v]), tuple(kids[ptr[v]:ptr[v + 1]])))
+            keys.append(((deg[v],), tuple(kids[ptr[v]:ptr[v + 1]]), leaves[level3[v]]))
         else:
             keys.append(_star_key(deg[v]))
     return keys
@@ -376,18 +379,15 @@ def _adjacency_keys(g: Graph, down) -> list:
 
 def _star_key(d: int) -> tuple:
     """The ``class_key`` of a root with d children and no grandchildren."""
-    return ((1, d), ()) if d else ((1,), ())
+    return ((d,), (0,) * d) if d else ((0,),)
 
 
-def _key_tree(key) -> LevelTree:
-    """A tree of the class of a depth-<=3 ``class_key`` (level sizes, sorted
-    level-2 child counts), its child counts preset."""
-    sizes, kids = key
-    # level 1's count is level 2's size, sizes[1:2]; the last level's are 0
-    counts = (sizes[1:2], kids)[:len(sizes) - 1] + ((0,) * sizes[-1],)
+def _key_tree(shape) -> LevelTree:
+    """A tree of the canonical shape ``shape`` (``class_key``), each level's
+    nodes taking parents in level order, so ``shape`` is its preset counts."""
     levels = ((None,),) + tuple(tuple(chain.from_iterable(map(repeat, range(len(c)), c)))
-                                for c in counts[:-1])
-    return LevelTree(levels, _counts=counts)
+                                for c in shape[:-1])
+    return LevelTree(levels, _counts=shape, _shape=shape)
 
 
 def _node_groups(g: Graph, k: int):

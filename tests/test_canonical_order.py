@@ -16,12 +16,8 @@ from nedist.experiments import random_graph, random_tree
 from nedist.graph import build_graph
 from nedist.ned import TreeDistanceCache, ned, ned_directed, tree_for
 from nedist.ted import UNIT, W_PLUS, ted_star, ted_star_distance_only
-from nedist.tree import (
-    LevelTree,
-    canonical_form,
-    parse_tree_literal,
-    to_tree_literal,
-)
+from nedist.tree import LevelTree, parse_tree_literal, to_tree_literal
+from nedist.vptree import _node_groups
 
 SCHEMES = {"unit": UNIT, "wplus": W_PLUS}
 
@@ -80,14 +76,44 @@ def child_counts(t: LevelTree):
     return tuple(tuple(map(len, kids)) for kids in children_lists(t))
 
 
-def test_canonical_form_is_the_reparsed_literal():
+def reparsed_shape(t: LevelTree):
+    """The canonical shape by definition: the parsed AHU literal's child counts."""
+    reparsed = parse_tree_literal(t.canonical_literal())
+    assert to_tree_literal(reparsed) == t.canonical_literal()
+    return child_counts(reparsed)
+
+
+def assert_class_key_is_the_reparsed_shape(t: LevelTree):
+    key = t.class_key()   # read first: at depth <= 3 it runs no AHU pass
+    assert key == reparsed_shape(t)
+    fresh = LevelTree(t.levels)
+    fresh.canonical_literal()   # the shape the AHU pass yields, at every depth
+    assert fresh.class_key() == key
+
+
+def test_class_key_is_the_reparsed_literals_shape():
+    # parsed and shuffled trees, extracted trees and representatives built
+    # from keys read from the adjacency, at depths 1-7
     for a, b, rng in tree_pairs(3, 300):
-        for t in (a, rendering(b, rng)):
-            literal, shape = canonical_form(t)
-            reparsed = parse_tree_literal(literal)
-            assert literal == to_tree_literal(reparsed) == t.canonical_literal()
-            assert shape == child_counts(reparsed)
-            assert canonical_form(rendering(t, rng)) == (literal, shape)
+        for t in (a, rendering(b, rng), parse_tree_literal(shuffled_literal(a, rng))):
+            assert_class_key_is_the_reparsed_shape(t)
+            assert rendering(t, rng).class_key() == t.class_key()
+    rng = random.Random(4)
+    trees = [random_tree(rng.randint(1, 40) if depth > 1 else 1, depth, rng)
+             for depth in range(1, 8) for _ in range(20)]
+    assert {t.depth for t in trees} == set(range(1, 8))
+    for directed in (False, True):
+        g = random_graph(60, 90, seed=5, directed=directed)
+        modes = ("in", "out") if directed else ("undirected",)
+        trees += [tree_for(g, v, k, mode) for k in range(1, 8) for v in range(0, g.n, 3)
+                  for mode in modes]
+        for k in (1, 2, 3):
+            for rep, _ in _node_groups(g, k):
+                for t in (rep if directed else (rep,)):
+                    assert t.class_key() == reparsed_shape(t)
+    assert {t.depth for t in trees} == set(range(1, 8))
+    for t in trees:
+        assert_class_key_is_the_reparsed_shape(t)
 
 
 @pytest.fixture
@@ -99,13 +125,33 @@ def ahu_calls(monkeypatch):
     return calls
 
 
-def test_canonical_form_is_memoized_and_leaves_the_tree_as_it_is(ahu_calls):
+def test_class_key_is_memoized_and_leaves_the_tree_as_it_is(ahu_calls):
     t = LevelTree(((None,), (0, 0), (0,)), (("r",), ("x", "y"), ("z",)))
-    literal, shape = canonical_form(t)
-    assert (literal, shape) == ("(()(()))", ((2,), (0, 1), (0,)))
-    assert canonical_form(t)[1] is shape
-    assert len(ahu_calls) == 1
+    shape = t.class_key()
+    assert shape == ((2,), (0, 1), (0,))
+    assert t.class_key() is shape
+    assert ahu_calls == []   # at depth <= 3 the key is the sorted child counts
+    assert t.canonical_literal() == "(()(()))"
+    assert t.class_key() == shape
+    deep = LevelTree(((None,), (0, 0), (0, 1), (1,)))
+    assert deep.class_key() == ((2,), (1, 1), (0, 1), (0,))
+    assert deep.class_key() is deep.class_key()
+    assert deep.canonical_literal() == "((())((())))"
+    assert len(ahu_calls) == 2   # one pass yields a deep tree's literal and shape
     assert (t.levels, t.node_ids) == (((None,), (0, 0), (0,)), (("r",), ("x", "y"), ("z",)))
+
+
+def test_shallow_class_keys_run_no_canonical_pass(ahu_calls):
+    rng = random.Random(8)
+    trees = [random_tree(rng.randint(1, 30) if depth > 1 else 1, depth, rng)
+             for depth in (1, 2, 3) for _ in range(30)]
+    g = random_graph(80, 160, seed=9)
+    trees += [tree_for(g, v, k) for k in (1, 2, 3) for v in range(g.n)]
+    keys = [t.class_key() for t in trees]
+    for k in (1, 2, 3):
+        keys += [rep.class_key() for rep, _ in _node_groups(g, k)]
+    assert ahu_calls == []
+    assert len(set(keys)) > 10
 
 
 def test_ted_star_canonizes_each_tree_once(ahu_calls):

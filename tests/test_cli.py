@@ -1,3 +1,6 @@
+import csv
+import io
+
 import pytest
 
 from nedist.cli import run
@@ -93,6 +96,18 @@ def test_knn_wplus(tmp_path, capsys):
     assert "p,1" in capsys.readouterr().out.split()
     assert run(query + ["--weights", "wplus"]) == 0
     assert "p,2" in capsys.readouterr().out.split()
+
+
+def test_knn_csv_quotes_labels_with_commas_and_quotes(tmp_path, capsys):
+    # a label holding a comma or a quote is one quoted field, the quote doubled
+    p = tmp_path / "comma.el"
+    p.write_text('a,1 b\nb c\nc "d\n')
+    assert run(["knn", "--graph", str(p), "--k", "2", "--query-graph", str(p),
+                "--query-node", "b", "-l", "4", "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert out == 'node,distance\nb,0\nc,0\n"a,1",1\n"""d",1\n'
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["node", "distance"], ["b", "0"], ["c", "0"], ["a,1", "1"], ['"d', "1"]]
 
 
 def test_graphdist(graph_file, capsys):

@@ -98,13 +98,14 @@ def test_distance_cache_counts():
 
 
 def test_distance_cache_keys_mixed_depths():
-    # depth <= 3 trees are keyed by counts (tuples), deeper ones by AHU
-    # literals (strs): a pair of one of each must not compare the two
+    # depth <= 3 keys are sorted child counts and deeper ones the AHU pass's
+    # shapes, both of one kind, so a pair of one of each orders by value
     scheme = HAUSDORFF_SCHEMES[2]
     rng = random.Random(17)
     pool = [P("()")] + [random_tree(rng.randint(2, 12), depth, rng)
                         for depth in range(2, 7) for _ in range(3)]
-    assert {type(t.class_key()) for t in pool} == {tuple, str}
+    assert {t.depth <= 3 for t in pool} == {True, False}
+    assert {type(t.class_key()) for t in pool} == {tuple}
     cache = TreeDistanceCache(scheme)
     for a in pool:
         for b in pool:

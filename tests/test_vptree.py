@@ -212,6 +212,21 @@ def test_build_index_rejects_an_empty_graph():
         build_index(parse_edge_list(""), 2)
 
 
+def test_entries_and_labels_may_be_any_iterable():
+    items = [5, 1, 9, 1, 4]
+    groups = [[0], [1, 3], [2], [4]]
+    bound = HalfGap([5, 1, 9, 4])
+    want = VpIndex(items, int_metric, groups, bound).knn(3, 5)
+    assert VpIndex(iter(items), int_metric, groups, bound).knn(3, 5) == want
+    labelled = VpIndex((x for x in items), int_metric, groups, bound, labels=iter("abcde"))
+    assert labelled.knn(3, 2) == ([("e", 1), ("a", 2)], 3)
+    with pytest.raises(UsageError, match="zero entries"):
+        VpIndex((x for x in ()), int_metric, [], HalfGap([]))
+    for labels in ("abcd", "abcdef", iter("abc")):
+        with pytest.raises(UsageError, match="one label per entry"):
+            VpIndex(items, int_metric, groups, bound, labels=labels)
+
+
 def test_all_equal_items_degenerate_build():
     for groups in (None, [list(range(40))]):
         index = int_index([7] * 40, groups)
@@ -659,7 +674,8 @@ def test_the_walk_over_runs_equals_the_refining_walk(directed):
 @pytest.mark.parametrize("directed", [False, True])
 def test_group_keys_partition_as_canonical_literals(directed):
     # a random graph and a 3-node path: at k = 4 and 5 the path's trees have
-    # depth <= 3 and count keys, the others literals, in one index
+    # depth <= 3 and keys read from their child counts, the others keys
+    # from the AHU pass, all of one kind, in one index
     g = parse_edge_list(to_edge_list(random_graph(30, 50, seed=16, directed=directed))
                         + "p0 p1\np1 p2\n", directed=directed)
     path = [g.resolve(p) for p in ("p0", "p1", "p2")]
@@ -667,6 +683,7 @@ def test_group_keys_partition_as_canonical_literals(directed):
         groups = _signature_groups([signature(g, v, k) for v in range(g.n)])
         assert sorted(members for _, members in groups) == literal_partition(g, k), k
         if k >= 4:
-            kinds = {type(t.class_key()) for s, _ in groups for t in signature_trees(s)}
-            assert kinds == {tuple, str}
+            trees = [t for s, _ in groups for t in signature_trees(s)]
+            assert {t.depth <= 3 for t in trees} == {True, False}
+            assert {type(t.class_key()) for t in trees} == {tuple}
             assert_index_is_exact(g, k, UNIT, list(range(0, 30, 6)) + path, (1, 3))
